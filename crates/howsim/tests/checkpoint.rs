@@ -3,10 +3,13 @@
 //! serialized manifest — is byte-identical to simulating from scratch.
 
 use arch::Architecture;
-use howsim::manifest::RunManifest;
+use datagen::zipf::Zipf;
+use howsim::faults::{FaultPlan, RecoveryPolicy};
+use howsim::manifest::{fnv1a64, RunManifest};
 use howsim::{checkpoint, Simulation};
 use proptest::prelude::*;
 use simcore::{Duration, QueueBackend, SimTime};
+use tasks::planner::apply_shuffle_skew;
 use tasks::{CpuWork, PhasePlan, TaskKind, TaskPlan};
 
 /// Every event-queue backend a checkpoint must restore under.
@@ -77,6 +80,193 @@ fn profiled_fork_keeps_the_critical_path() {
     assert_eq!(report, scratch);
     assert_eq!(cp.total, scratch_cp.total);
     assert_eq!(cp.segments, scratch_cp.segments);
+}
+
+/// A 16-node cluster join whose repartitioning is skewed by hashing
+/// Zipf(1.0) keys over 100 k distinct values: every shuffle message is
+/// routed by the phase's weighted-fair schedule.
+fn skewed_join() -> (Simulation, TaskPlan) {
+    let arch = Architecture::cluster(16);
+    let mut plan = tasks::plan_task(TaskKind::Join, &arch);
+    apply_shuffle_skew(&mut plan, Zipf::new(100_000, 1.0).partition_weights(16));
+    (Simulation::new(arch).with_seed(5), plan)
+}
+
+fn pause_at(elapsed: Duration, pct: u64) -> SimTime {
+    SimTime::from_nanos(elapsed.as_nanos() * pct / 100)
+}
+
+#[test]
+fn skewed_join_checkpoints_and_forks_match_scratch() {
+    // Resuming a skewed shuffle must put every node back at its own
+    // position in the phase's destination schedule: a restore that lost
+    // or reset the positions would route the rest of the shuffle
+    // differently.
+    let (sim, plan) = skewed_join();
+    let scratch = sim.run_plan(&plan);
+    let elapsed = scratch.elapsed();
+    let path = tmp("skewed-join");
+    for pct in [10, 30, 50, 80] {
+        let at = pause_at(elapsed, pct);
+        let mut run = sim.start(&plan);
+        run.run_until(at);
+        assert!(!run.is_done(), "pause at {pct}% is mid-flight");
+        assert_eq!(run.fork().finish(), scratch, "fork at {pct}%");
+
+        checkpoint::write_file(&path, &sim, &plan, at, &run).unwrap();
+        let saved = std::fs::read_to_string(&path).unwrap();
+        let restored = checkpoint::read_file(&path, &sim, &plan).expect("valid checkpoint");
+        let key = checkpoint::checkpoint_key(&sim, &plan, at);
+        assert_eq!(
+            checkpoint::encode(&restored, &key),
+            saved,
+            "save -> load -> save at {pct}% is byte-identical"
+        );
+        assert_eq!(restored.finish(), scratch, "restore at {pct}%");
+
+        // A disk failure a quarter of the way through the remaining run.
+        let strike = at.since(SimTime::ZERO)
+            + Duration::from_nanos((elapsed - at.since(SimTime::ZERO)).as_nanos() / 4);
+        let faults = FaultPlan::new().disk_fail_stop(3, strike);
+        let faulted = sim
+            .clone()
+            .with_fault_plan(faults.clone())
+            .with_recovery(RecoveryPolicy::Redistribute)
+            .run_plan(&plan);
+        assert_eq!(faulted.faults_injected, 1, "the failure strikes at {pct}%");
+        let forked = run
+            .fork_with_faults(faults, RecoveryPolicy::Redistribute)
+            .finish();
+        assert_eq!(forked, faulted, "faulted fork at {pct}%");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Re-armors an edited checkpoint payload with a fresh checksum, so
+/// only the state codec stands between the edit and the resumed run.
+fn rechecksum(text: &str, edit: impl FnOnce(Vec<String>) -> Vec<String>) -> String {
+    let mut lines = text.lines();
+    let schema = lines.next().unwrap();
+    let _sum = lines.next().unwrap();
+    let payload: Vec<String> = lines.map(str::to_string).collect();
+    let payload = edit(payload).join("\n") + "\n";
+    format!(
+        "{schema}\nsum {:016x}\n{payload}",
+        fnv1a64(payload.as_bytes())
+    )
+}
+
+/// Rewrites the first line starting with `prefix` (a node's state).
+fn edit_first(lines: &mut [String], prefix: &str, f: impl FnOnce(&str) -> String) {
+    let line = lines
+        .iter_mut()
+        .find(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no `{prefix}` line"));
+    *line = f(line);
+}
+
+#[test]
+fn hostile_shuffle_credits_are_a_clean_miss() {
+    let (sim, plan) = skewed_join();
+    let at = pause_at(sim.run_plan(&plan).elapsed(), 10);
+    let mut run = sim.start(&plan);
+    run.run_until(at);
+    let path = tmp("hostile");
+    checkpoint::write_file(&path, &sim, &plan, at, &run).unwrap();
+    let saved = std::fs::read_to_string(&path).unwrap();
+    assert!(
+        saved.contains("\nhas_dst_credits 1\n"),
+        "paused mid-shuffle"
+    );
+
+    let resumes = |text: &str| {
+        std::fs::write(&path, text).unwrap();
+        checkpoint::read_file(&path, &sim, &plan).is_some()
+    };
+    // The armor alone is not what rejects the edits below.
+    assert!(
+        resumes(&rechecksum(&saved, |l| l)),
+        "re-checksummed original loads"
+    );
+
+    let credits = |f: fn(Vec<&str>) -> Vec<String>| {
+        rechecksum(&saved, move |mut l| {
+            edit_first(&mut l, "dst_credits ", |line| {
+                let vals: Vec<&str> = line.split(' ').skip(1).collect();
+                let mut out = vec!["dst_credits".to_string()];
+                out.extend(f(vals));
+                out.join(" ")
+            });
+            l
+        })
+    };
+    let cases: Vec<(&str, String)> = vec![
+        ("empty credit list", credits(|_| Vec::new())),
+        (
+            "short credit list",
+            credits(|v| v[1..].iter().map(|s| s.to_string()).collect()),
+        ),
+        (
+            "long credit list",
+            credits(|v| v.iter().chain(&v[..1]).map(|s| s.to_string()).collect()),
+        ),
+        (
+            "credits off the schedule",
+            credits(|v| {
+                let mut out: Vec<String> = v.iter().map(|s| s.to_string()).collect();
+                out[0] = (v[0].parse::<u64>().unwrap() ^ 1).to_string();
+                out
+            }),
+        ),
+        (
+            "credits past the picks the node's batches allow",
+            rechecksum(&saved, |mut l| {
+                edit_first(&mut l, "nstate ", |line| {
+                    let mut v: Vec<&str> = line.split(' ').collect();
+                    v[6] = "0"; // `processed`: no batch, so no pick yet
+                    v.join(" ")
+                });
+                l
+            }),
+        ),
+        (
+            "round robin on a skewed phase",
+            rechecksum(&saved, |mut l| {
+                edit_first(&mut l, "has_dst_credits 1", |_| "has_dst_credits 0".into());
+                let i = l
+                    .iter()
+                    .position(|x| x.starts_with("dst_credits "))
+                    .unwrap();
+                l.remove(i);
+                l
+            }),
+        ),
+    ];
+    for (what, text) in cases {
+        assert!(!resumes(&text), "{what} must be a clean miss");
+    }
+
+    // The converse: weighted credits on a phase that shuffles uniformly.
+    let arch = Architecture::cluster(16);
+    let uniform = tasks::plan_task(TaskKind::Join, &arch);
+    let usim = Simulation::new(arch).with_seed(5);
+    let mut run = usim.start(&uniform);
+    run.run_until(at);
+    checkpoint::write_file(&path, &usim, &uniform, at, &run).unwrap();
+    let saved = std::fs::read_to_string(&path).unwrap();
+    assert!(saved.contains("\nhas_dst_credits 0\n"));
+    let weighted = rechecksum(&saved, |mut l| {
+        edit_first(&mut l, "has_dst_credits 0", |_| {
+            format!("has_dst_credits 1\ndst_credits{}", " 0".repeat(16))
+        });
+        l
+    });
+    std::fs::write(&path, weighted).unwrap();
+    assert!(
+        checkpoint::read_file(&path, &usim, &uniform).is_none(),
+        "weighted credits on a uniform phase must be a clean miss"
+    );
+    let _ = std::fs::remove_file(&path);
 }
 
 proptest! {
