@@ -219,6 +219,14 @@ impl Geometry {
     /// head and cylinder switches crossed mid-transfer (the components of
     /// sustained — as opposed to instantaneous — media rate).
     ///
+    /// Computed in closed form per zone: zones hold whole cylinders, so
+    /// within a zone the transfer crosses `t1 - t0` track boundaries
+    /// (`t = offset / sectors_per_track` of its first and last sector),
+    /// `cyl = t1 / heads - t0 / heads` of them cylinder boundaries and
+    /// the rest head switches; every zone edge crossed is one more
+    /// cylinder switch. Durations are integer nanoseconds, so the sum is
+    /// exactly that of walking the transfer track by track.
+    ///
     /// # Panics
     ///
     /// Panics if the transfer extends past the end of the disk.
@@ -236,31 +244,31 @@ impl Geometry {
             lba + sectors,
             self.total_sectors
         );
-        let mut remaining = sectors;
-        let mut at = lba;
-        let mut total = Duration::ZERO;
-        while remaining > 0 {
-            let loc = self.locate(at).expect("in range by the assert above");
-            let zone = &self.zones[loc.zone as usize];
-            let spt = u64::from(zone.sectors_per_track);
-            let sector_time = zone.sector_time;
-            let left_on_track = spt - u64::from(loc.sector);
-            let chunk = remaining.min(left_on_track);
-            total += sector_time * chunk;
-            remaining -= chunk;
-            at += chunk;
-            if remaining > 0 {
-                // Crossing to the next track: head switch, or cylinder
-                // switch when wrapping to the next cylinder.
-                let next = self.locate(at).expect("in range");
-                total += if next.cylinder != loc.cylinder {
-                    cylinder_switch
-                } else {
-                    head_switch
-                };
-            }
+        if sectors == 0 {
+            return Duration::ZERO;
         }
-        total
+        let heads = u64::from(self.heads);
+        let mut zi = self.zone_index(lba);
+        let mut off = lba - self.zones[zi].first_lba;
+        let mut remaining = sectors;
+        let mut total = Duration::ZERO;
+        loop {
+            let zone = &self.zones[zi];
+            let spt = u64::from(zone.sectors_per_track);
+            let n = remaining.min(zone.sectors - off);
+            let t0 = off / spt;
+            let t1 = (off + n - 1) / spt;
+            let cyl = t1 / heads - t0 / heads;
+            total += zone.sector_time * n + cylinder_switch * cyl + head_switch * (t1 - t0 - cyl);
+            remaining -= n;
+            if remaining == 0 {
+                return total;
+            }
+            // The zone ends on a cylinder boundary.
+            total += cylinder_switch;
+            zi += 1;
+            off = 0;
+        }
     }
 
     /// Duration of one revolution.
@@ -408,7 +416,121 @@ mod tests {
         );
     }
 
+    /// The track-by-track walk the closed form replaced, kept as the
+    /// differential oracle: each track pays its sectors, then a head
+    /// switch, or a cylinder switch when the next track's cylinder
+    /// differs.
+    fn media_transfer_by_tracks(
+        g: &Geometry,
+        lba: u64,
+        sectors: u64,
+        head_switch: Duration,
+        cylinder_switch: Duration,
+    ) -> Duration {
+        let mut remaining = sectors;
+        let mut at = lba;
+        let mut total = Duration::ZERO;
+        while remaining > 0 {
+            let loc = g.locate(at).expect("in range");
+            let zone = &g.zones[loc.zone as usize];
+            let left_on_track = u64::from(zone.sectors_per_track) - u64::from(loc.sector);
+            let chunk = remaining.min(left_on_track);
+            total += zone.sector_time * chunk;
+            remaining -= chunk;
+            at += chunk;
+            if remaining > 0 {
+                let next = g.locate(at).expect("in range");
+                total += if next.cylinder != loc.cylinder {
+                    cylinder_switch
+                } else {
+                    head_switch
+                };
+            }
+        }
+        total
+    }
+
+    fn both_drives() -> [(Geometry, DiskSpec); 2] {
+        [DiskSpec::cheetah_9lp(), DiskSpec::hitachi_dk3e1t_91()]
+            .map(|spec| (Geometry::from_spec(&spec), spec))
+    }
+
+    #[test]
+    fn closed_form_matches_track_walk_at_every_zone_edge() {
+        for (g, spec) in both_drives() {
+            let (hs, cs) = (spec.head_switch, spec.cylinder_switch);
+            for zn in &g.zones()[1..] {
+                let spt = u64::from(zn.sectors_per_track);
+                let cyl = spt * u64::from(g.heads());
+                for back in [1, 2, spt - 1, spt, spt + 1, cyl, cyl + 1] {
+                    let start = zn.first_lba - back;
+                    for sectors in [0, 1, back, back + 1, back + spt, back + cyl + 3] {
+                        let sectors = sectors.min(g.total_sectors() - start);
+                        assert_eq!(
+                            g.media_transfer(start, sectors, hs, cs),
+                            media_transfer_by_tracks(&g, start, sectors, hs, cs),
+                            "{}: {sectors} sectors from {start}",
+                            spec.name
+                        );
+                    }
+                }
+            }
+            // A span across every zone, and the last sectors of the disk.
+            let all = g.total_sectors();
+            for (start, sectors) in [
+                (0, all),
+                (1, all - 1),
+                (all - 1, 1),
+                (all - 300_000, 300_000),
+            ] {
+                assert_eq!(
+                    g.media_transfer(start, sectors, hs, cs),
+                    media_transfer_by_tracks(&g, start, sectors, hs, cs),
+                    "{}: {sectors} sectors from {start}",
+                    spec.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn media_transfer_of_nothing_is_free() {
+        let g = geo();
+        let (hs, cs) = (Duration::from_micros(800), Duration::from_micros(1_100));
+        assert_eq!(g.media_transfer(0, 0, hs, cs), Duration::ZERO);
+        assert_eq!(
+            g.media_transfer(g.total_sectors(), 0, hs, cs),
+            Duration::ZERO
+        );
+    }
+
     proptest! {
+        /// The closed form equals the track walk on both drives for any
+        /// start — anywhere, or within a few tracks of a zone edge — and
+        /// any length from 0 to 300 k sectors (multi-zone spans included).
+        #[test]
+        fn prop_closed_form_matches_track_walk(
+            drive in 0usize..2,
+            near_edge in 0u64..2,
+            pos in 0u64..u64::MAX,
+            sectors in 0u64..=300_000,
+        ) {
+            let (g, spec) = &both_drives()[drive];
+            let start = if near_edge == 1 {
+                let zones = g.zones();
+                let zn = &zones[1 + (pos % (zones.len() as u64 - 1)) as usize];
+                let spt = u64::from(zn.sectors_per_track);
+                zn.first_lba - 1 - (pos >> 32) % (4 * spt)
+            } else {
+                pos % g.total_sectors()
+            };
+            let sectors = sectors.min(g.total_sectors() - start);
+            prop_assert_eq!(
+                g.media_transfer(start, sectors, spec.head_switch, spec.cylinder_switch),
+                media_transfer_by_tracks(g, start, sectors, spec.head_switch, spec.cylinder_switch)
+            );
+        }
+
         /// locate() is consistent: mapping is monotone in cylinder and the
         /// zone's LBA bounds contain the input.
         #[test]
