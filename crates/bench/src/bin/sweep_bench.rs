@@ -427,9 +427,9 @@ fn main() {
     let (trace_off_s, trace_on_s, spans_recorded) = tracing_overhead(20);
     let trace_overhead = trace_on_s / trace_off_s - 1.0;
     // The design target is <3%, but this event loop retires ~10M
-    // events/s, so writing one 56-byte span per event (plus the page
+    // events/s, so writing one 40-byte span per event (plus the page
     // faults of a fresh 600k-span arena each run) costs a measured
-    // ~35% — inherent to full causal capture at this event rate, not
+    // ~30% — inherent to full causal capture at this event rate, not
     // fixable by micro-tuning. The enforced ceiling keeps profiling
     // from ever doubling a run; the real figure is recorded below.
     assert!(

@@ -16,6 +16,9 @@
 //!   simulated-time interval, yielding [`RunMetrics`]. Costs one branch
 //!   per event when enabled, one `Option` check when not.
 
+use std::sync::OnceLock;
+
+use simcore::span::SpanResource;
 use simcore::{Duration, GaugeSeries, SimTime, UtilizationSampler};
 
 use crate::report::Report;
@@ -70,6 +73,15 @@ impl Resource {
             Resource::MemoryFabric => "memory_fabric",
             Resource::Recovery => "recovery",
         }
+    }
+
+    /// [`Resource::key`] as a span-arena handle, interned once per
+    /// process.
+    pub(crate) fn span_resource(self) -> SpanResource {
+        static HANDLES: OnceLock<[SpanResource; 7]> = OnceLock::new();
+        // `ALL` lists the variants in declaration order, so the
+        // discriminant indexes it.
+        HANDLES.get_or_init(|| Resource::ALL.map(|r| SpanResource::intern(r.key())))[self as usize]
     }
 
     /// The inverse of [`Resource::key`]; `None` for unknown keys.
@@ -345,6 +357,13 @@ mod tests {
     use crate::report::PhaseReport;
     use simcore::Histogram;
     use std::collections::BTreeMap;
+
+    #[test]
+    fn span_handles_name_their_keys() {
+        for r in Resource::ALL {
+            assert_eq!(r.span_resource().name(), r.key());
+        }
+    }
 
     fn phase(name: &'static str, secs: u64, busy: &[(Resource, u64, u32)]) -> PhaseReport {
         PhaseReport {

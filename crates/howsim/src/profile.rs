@@ -129,7 +129,7 @@ fn critical_path_over(arena: &SpanArena, phases: &[PhaseSpans]) -> CriticalPath 
                 cursor = span.end;
             }
             let claim_from = span.start.min(cursor);
-            *by_resource.entry(span.resource).or_default() += cursor.since(claim_from);
+            *by_resource.entry(span.resource.name()).or_default() += cursor.since(claim_from);
             cursor = claim_from;
             id = span.parent;
         }

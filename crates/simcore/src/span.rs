@@ -12,6 +12,16 @@
 //! Spans accumulate in a [`SpanArena`]: bounded (overflow increments a
 //! surfaced drop counter, never panics or reallocates) and zero-cost when
 //! disabled (no backing allocation, one branch per record call).
+//!
+//! Enabled, recording is dominated by memory traffic rather than
+//! bookkeeping: every span is written once into fresh arena memory, so
+//! the first touch of each page (a fault plus zeroing) costs about twice
+//! the write itself, and both scale with the span's size. Resource names
+//! are therefore interned to one byte ([`SpanResource`]), which keeps a
+//! [`Span`] at 40 bytes instead of the 56 a `&'static str` field needs.
+
+use std::fmt;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::time::SimTime;
 
@@ -54,6 +64,83 @@ impl SpanId {
         } else {
             None
         }
+    }
+}
+
+/// Most distinct resource names one process can intern.
+const MAX_RESOURCES: usize = 256;
+
+/// Interned resource names, indexed by [`SpanResource`]. Each slot is
+/// written once, under [`INTERNED`]; reads take no lock.
+static NAMES: [OnceLock<&'static str>; MAX_RESOURCES] = [const { OnceLock::new() }; MAX_RESOURCES];
+
+/// How many slots of [`NAMES`] are assigned; the lock serializes interning.
+static INTERNED: Mutex<usize> = Mutex::new(0);
+
+/// A resource name (`"disk_media"`, `"worker_cpu"`, ...) interned to one
+/// byte. The same name always yields the same handle within a process;
+/// handles are never persisted, only their names.
+///
+/// ```
+/// use simcore::span::SpanResource;
+///
+/// let disk = SpanResource::intern("disk_media");
+/// assert_eq!(disk, SpanResource::from("disk_media"));
+/// assert_eq!(disk.name(), "disk_media");
+/// assert_eq!(disk.to_string(), "disk_media");
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct SpanResource(u8);
+
+impl SpanResource {
+    /// Interns `name`. Takes a lock and scans the names interned so far,
+    /// so hot paths intern once and keep the handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 256 distinct names.
+    pub fn intern(name: &'static str) -> SpanResource {
+        // The only panic under the lock (the capacity assert) comes before
+        // any update, so a poisoned table is still consistent.
+        let mut assigned = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+        let known = NAMES[..*assigned]
+            .iter()
+            .position(|slot| slot.get() == Some(&name));
+        let ix = known.unwrap_or_else(|| {
+            assert!(
+                *assigned < MAX_RESOURCES,
+                "more than {MAX_RESOURCES} distinct span resources"
+            );
+            NAMES[*assigned].set(name).expect("unassigned name slot");
+            *assigned += 1;
+            *assigned - 1
+        });
+        SpanResource(u8::try_from(ix).expect("index below MAX_RESOURCES"))
+    }
+
+    /// The interned name.
+    pub fn name(self) -> &'static str {
+        NAMES[usize::from(self.0)]
+            .get()
+            .expect("handles come from intern")
+    }
+}
+
+impl From<&'static str> for SpanResource {
+    fn from(name: &'static str) -> Self {
+        SpanResource::intern(name)
+    }
+}
+
+impl fmt::Debug for SpanResource {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.name(), f)
+    }
+}
+
+impl fmt::Display for SpanResource {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -102,9 +189,9 @@ pub struct Span {
     /// The span whose completion caused this one ([`SpanId::NONE`] for
     /// phase roots).
     pub parent: SpanId,
-    /// The resource the work ran on (an interned static key, e.g.
+    /// The resource the work ran on (an interned key, e.g.
     /// `"disk_media"`).
-    pub resource: &'static str,
+    pub resource: SpanResource,
     /// The kind of work.
     pub kind: SpanKind,
     /// Worker node ordinal, or [`FRONT_END_NODE`].
@@ -129,8 +216,9 @@ impl Span {
     }
 }
 
-/// Default arena capacity: 2 Mi spans (~96 MB when enabled), enough for
-/// the largest figure configurations in this repository with headroom.
+/// Default arena capacity: 2 Mi spans (80 MiB reserved when enabled, paged
+/// in only as spans are written), enough for the largest figure
+/// configurations in this repository with headroom.
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 21;
 
 /// A bounded arena of spans.
@@ -213,13 +301,14 @@ impl SpanArena {
     }
 
     /// Records a complete span; returns its id, or [`SpanId::NONE`] when
-    /// disabled or full.
+    /// disabled or full. A `&'static str` resource is interned on every
+    /// call; hot paths pass a [`SpanResource`] interned once.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn record(
         &mut self,
         parent: SpanId,
-        resource: &'static str,
+        resource: impl Into<SpanResource>,
         kind: SpanKind,
         node: u32,
         start: SimTime,
@@ -243,7 +332,7 @@ impl SpanArena {
         let id = SpanId(self.spans.len() as u32);
         self.spans.push(Span {
             parent,
-            resource,
+            resource: resource.into(),
             kind,
             node,
             start,
@@ -260,7 +349,7 @@ impl SpanArena {
     pub fn open(
         &mut self,
         parent: SpanId,
-        resource: &'static str,
+        resource: impl Into<SpanResource>,
         kind: SpanKind,
         node: u32,
         start: SimTime,
@@ -409,6 +498,28 @@ mod tests {
         assert_eq!(a.dropped_for(2), 2);
         assert_eq!(a.dropped_for(0), 0);
         assert_eq!(a.dropped_by_query(), &[(2, 2), (7, 1)]);
+    }
+
+    #[test]
+    fn interned_resources_round_trip_and_keep_spans_small() {
+        let a = SpanResource::intern("span_test_a");
+        let b = SpanResource::intern("span_test_b");
+        assert_ne!(a, b);
+        assert_eq!(SpanResource::intern("span_test_a"), a);
+        assert_eq!((a.name(), b.name()), ("span_test_a", "span_test_b"));
+        assert_eq!(format!("{a} {a:?}"), "span_test_a \"span_test_a\"");
+        let mut arena = SpanArena::with_capacity(2);
+        let id = arena.record(
+            SpanId::NONE,
+            "span_test_b",
+            SpanKind::Cpu,
+            0,
+            SimTime::ZERO,
+            SimTime::ZERO,
+            0,
+        );
+        assert_eq!(arena.get(id).unwrap().resource, b);
+        assert_eq!(std::mem::size_of::<Span>(), 40);
     }
 
     #[test]
