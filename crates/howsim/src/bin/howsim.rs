@@ -50,6 +50,8 @@
 //!        --admission 4:16 --deadline 120s:1:5s
 //! ```
 
+use std::fs::File;
+use std::io::BufWriter;
 use std::process::ExitCode;
 
 use arch::Architecture;
@@ -564,7 +566,8 @@ fn run_loaded(opts: &Options, sim: &Simulation, fault_plan: &FaultPlan) -> ExitC
     print_load_report(&report);
     if let Some(path) = &opts.trace_events {
         let trace = span_trace.as_ref().expect("profiled run");
-        if let Err(e) = std::fs::write(path, trace.chrome_trace_json()) {
+        let written = File::create(path).and_then(|f| trace.write_chrome_trace(BufWriter::new(f)));
+        if let Err(e) = written {
             eprintln!("failed to write trace events {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -748,7 +751,8 @@ fn main() -> ExitCode {
 
     if let Some(path) = &opts.trace_events {
         let spans = span_trace.as_ref().expect("profiled run");
-        if let Err(e) = std::fs::write(path, spans.chrome_trace_json()) {
+        let written = File::create(path).and_then(|f| spans.write_chrome_trace(BufWriter::new(f)));
+        if let Err(e) = written {
             eprintln!("failed to write trace events {path}: {e}");
             return ExitCode::FAILURE;
         }
