@@ -5,10 +5,10 @@
 //! Six measurements, written to `BENCH_PR9.json` in the current
 //! directory:
 //!
-//! 1. Event-loop throughput on the 64-disk cluster join across all
-//!    four queue backends — arena calendar wheel, sharded wheel at one
-//!    and four shards, and the binary heap baseline (the reports are
-//!    asserted identical, so the comparison is pure scheduler cost).
+//! 1. Event-loop throughput on the 64-disk cluster join on both queue
+//!    backends — the arena calendar wheel and the binary heap baseline
+//!    (the reports are asserted identical, so the comparison is pure
+//!    scheduler cost).
 //! 2. The `--quick` figure sweeps with a cold result cache and again
 //!    with a warm one, including hit/miss counts (the checksums are
 //!    asserted identical, so the speedup is pure cache effect).
@@ -84,11 +84,9 @@ fn timed(jobs: usize) -> (f64, usize, f64) {
     (start.elapsed().as_secs_f64(), sims, checksum)
 }
 
-/// The four scheduler backends under test, in report order.
-const SCHED_BACKENDS: [(QueueBackend, &str); 4] = [
+/// The scheduler backends under test, in report order.
+const SCHED_BACKENDS: [(QueueBackend, &str); 2] = [
     (QueueBackend::CalendarWheel, "wheel"),
-    (QueueBackend::ShardedWheel { shards: 1 }, "sharded1"),
-    (QueueBackend::ShardedWheel { shards: 4 }, "sharded4"),
     (QueueBackend::BinaryHeap, "heap"),
 ];
 
@@ -96,7 +94,7 @@ const SCHED_BACKENDS: [(QueueBackend, &str); 4] = [
 /// `rounds` wall-clock runs per queue backend. Returns the event count
 /// and the best seconds per backend (order of [`SCHED_BACKENDS`]).
 /// Every backend's report is asserted equal to the wheel's.
-fn scheduler_throughput(rounds: usize) -> (u64, [f64; 4]) {
+fn scheduler_throughput(rounds: usize) -> (u64, [f64; 2]) {
     let arch = Architecture::cluster(64);
     let plan = tasks::plan_task(TaskKind::Join, &arch);
     let sims: Vec<Simulation> = SCHED_BACKENDS
@@ -104,7 +102,7 @@ fn scheduler_throughput(rounds: usize) -> (u64, [f64; 4]) {
         .map(|&(backend, _)| Simulation::new(arch.clone()).with_queue_backend(backend))
         .collect();
     let mut events = 0u64;
-    let mut best = [f64::INFINITY; 4];
+    let mut best = [f64::INFINITY; 2];
     for _ in 0..rounds {
         let mut reference = None;
         for (i, sim) in sims.iter().enumerate() {
@@ -391,32 +389,26 @@ fn main() {
     );
     let cache_speedup = cold / warm;
 
-    eprintln!("scheduler throughput (cluster 64 join, 4 backends)...");
+    eprintln!("scheduler throughput (cluster 64 join, wheel and heap)...");
     let (events, best) = scheduler_throughput(20);
-    let [wheel_s, sharded1_s, sharded4_s, heap_s] = best;
+    let [wheel_s, heap_s] = best;
     let eps = |s: f64| events as f64 / s;
-    let (wheel_eps, sharded1_eps, sharded4_eps, heap_eps) =
-        (eps(wheel_s), eps(sharded1_s), eps(sharded4_s), eps(heap_s));
+    let (wheel_eps, heap_eps) = (eps(wheel_s), eps(heap_s));
     assert!(
         wheel_eps >= heap_eps,
         "calendar wheel ({wheel_eps:.0} events/s) must not lose to the heap ({heap_eps:.0})"
     );
     let sched_speedup = heap_s / wheel_s;
-    // Prior-PR scheduler numbers, folded into the trajectory below.
+    // Prior-PR scheduler numbers, folded into the trajectory below (the
+    // retired sharded backend's numbers stay in BENCH_PR6-8.json).
     const PR2_EPS: u64 = 5_520_663;
     const PR4_WHEEL_EPS: u64 = 5_967_797;
     const PR4_HEAP_EPS: u64 = 4_384_018;
     const PR6_WHEEL_EPS: u64 = 9_623_495;
-    const PR6_SHARDED1_EPS: u64 = 9_573_055;
-    const PR6_SHARDED4_EPS: u64 = 6_962_138;
     const PR6_HEAP_EPS: u64 = 7_704_511;
     const PR7_WHEEL_EPS: u64 = 9_146_641;
-    const PR7_SHARDED1_EPS: u64 = 9_048_946;
-    const PR7_SHARDED4_EPS: u64 = 6_994_192;
     const PR7_HEAP_EPS: u64 = 6_591_659;
     const PR8_WHEEL_EPS: u64 = 8_475_204;
-    const PR8_SHARDED1_EPS: u64 = 8_699_324;
-    const PR8_SHARDED4_EPS: u64 = 6_440_886;
     const PR8_HEAP_EPS: u64 = 6_218_254;
     const PR8_LOADED_EPS: u64 = 8_036_574;
     let vs_pr4 = wheel_eps / PR4_WHEEL_EPS as f64;
@@ -490,12 +482,8 @@ fn main() {
          \"config\": \"cluster 64-disk join\",\n    \
          \"events\": {events},\n    \
          \"wheel_seconds\": {wheel_s:.4},\n    \
-         \"sharded1_seconds\": {sharded1_s:.4},\n    \
-         \"sharded4_seconds\": {sharded4_s:.4},\n    \
          \"heap_seconds\": {heap_s:.4},\n    \
          \"wheel_events_per_sec\": {wheel_eps:.0},\n    \
-         \"sharded1_events_per_sec\": {sharded1_eps:.0},\n    \
-         \"sharded4_events_per_sec\": {sharded4_eps:.0},\n    \
          \"heap_events_per_sec\": {heap_eps:.0},\n    \
          \"wheel_vs_heap_speedup\": {sched_speedup:.3},\n    \
          \"wheel_vs_pr4_wheel_speedup\": {vs_pr4:.3},\n    \
@@ -556,10 +544,10 @@ fn main() {
          {{\"pr\": 1, \"source\": \"BENCH_PR1.json\", \"fifo_offer_10k_5_tags_us\": 61.3}},\n    \
          {{\"pr\": 2, \"source\": \"BENCH_PR2.json\", \"events_per_sec\": {PR2_EPS}, \"fifo_offer_10k_5_tags_us\": 47.8}},\n    \
          {{\"pr\": 4, \"source\": \"BENCH_PR4.json\", \"wheel_events_per_sec\": {PR4_WHEEL_EPS}, \"heap_events_per_sec\": {PR4_HEAP_EPS}, \"wheel_vs_heap_speedup\": 1.361}},\n    \
-         {{\"pr\": 6, \"source\": \"BENCH_PR6.json\", \"wheel_events_per_sec\": {PR6_WHEEL_EPS}, \"sharded1_events_per_sec\": {PR6_SHARDED1_EPS}, \"sharded4_events_per_sec\": {PR6_SHARDED4_EPS}, \"heap_events_per_sec\": {PR6_HEAP_EPS}, \"wheel_vs_pr4_wheel_speedup\": 1.613}},\n    \
-         {{\"pr\": 7, \"source\": \"BENCH_PR7.json\", \"wheel_events_per_sec\": {PR7_WHEEL_EPS}, \"sharded1_events_per_sec\": {PR7_SHARDED1_EPS}, \"sharded4_events_per_sec\": {PR7_SHARDED4_EPS}, \"heap_events_per_sec\": {PR7_HEAP_EPS}, \"tracing_overhead_fraction\": 0.3887}},\n    \
-         {{\"pr\": 8, \"source\": \"BENCH_PR8.json\", \"wheel_events_per_sec\": {PR8_WHEEL_EPS}, \"sharded1_events_per_sec\": {PR8_SHARDED1_EPS}, \"sharded4_events_per_sec\": {PR8_SHARDED4_EPS}, \"heap_events_per_sec\": {PR8_HEAP_EPS}, \"loaded_events_per_sec\": {PR8_LOADED_EPS}, \"admission_overhead_fraction\": 0.0176}},\n    \
-         {{\"pr\": 9, \"source\": \"this run\", \"wheel_events_per_sec\": {wheel_eps:.0}, \"sharded1_events_per_sec\": {sharded1_eps:.0}, \"sharded4_events_per_sec\": {sharded4_eps:.0}, \"heap_events_per_sec\": {heap_eps:.0}, \"loaded_events_per_sec\": {loaded_eps:.0}, \"availability_fork_speedup\": {avail_speedup:.3}, \"loadsweep_fork_speedup\": {ls_speedup:.3}}}\n  ],\n  \
+         {{\"pr\": 6, \"source\": \"BENCH_PR6.json\", \"wheel_events_per_sec\": {PR6_WHEEL_EPS}, \"heap_events_per_sec\": {PR6_HEAP_EPS}, \"wheel_vs_pr4_wheel_speedup\": 1.613}},\n    \
+         {{\"pr\": 7, \"source\": \"BENCH_PR7.json\", \"wheel_events_per_sec\": {PR7_WHEEL_EPS}, \"heap_events_per_sec\": {PR7_HEAP_EPS}, \"tracing_overhead_fraction\": 0.3887}},\n    \
+         {{\"pr\": 8, \"source\": \"BENCH_PR8.json\", \"wheel_events_per_sec\": {PR8_WHEEL_EPS}, \"heap_events_per_sec\": {PR8_HEAP_EPS}, \"loaded_events_per_sec\": {PR8_LOADED_EPS}, \"admission_overhead_fraction\": 0.0176}},\n    \
+         {{\"pr\": 9, \"source\": \"this run\", \"wheel_events_per_sec\": {wheel_eps:.0}, \"heap_events_per_sec\": {heap_eps:.0}, \"loaded_events_per_sec\": {loaded_eps:.0}, \"availability_fork_speedup\": {avail_speedup:.3}, \"loadsweep_fork_speedup\": {ls_speedup:.3}}}\n  ],\n  \
          \"outputs_identical\": true\n}}\n",
         cold_hits = cold_stats.hits,
         cold_misses = cold_stats.misses,

@@ -82,13 +82,9 @@ mod tests {
     /// phase populated.
     #[test]
     fn arena_wheel_steady_state_allocates_nothing() {
-        for backend in [
-            QueueBackend::CalendarWheel,
-            QueueBackend::ShardedWheel { shards: 1 },
-            QueueBackend::ShardedWheel { shards: 4 },
-        ] {
+        {
             let mut rng = SplitMix64::new(7);
-            let mut q = EventQueue::with_backend_capacity(backend, 512);
+            let mut q = EventQueue::with_backend_capacity(QueueBackend::CalendarWheel, 512);
             let mut t = 0u64;
             // Warm up: reach steady depth and let every bucket, slab,
             // and scratch buffer grow to its working size.
@@ -111,10 +107,7 @@ mod tests {
                 }
                 sum
             });
-            assert_eq!(
-                n, 0,
-                "backend {backend:?} allocated {n} times in steady state"
-            );
+            assert_eq!(n, 0, "the wheel allocated {n} times in steady state");
         }
     }
 

@@ -485,7 +485,8 @@ impl Disk {
             .map_err(|_| StateError::new("histogram needs 64 buckets"))?;
         let total = Duration::from_nanos(r.num("hist_total")?);
         let max = Duration::from_nanos(r.num("hist_max")?);
-        self.service_hist = Histogram::from_raw(buckets, total, max);
+        self.service_hist = Histogram::from_raw(buckets, total, max)
+            .ok_or_else(|| StateError::new("histogram bucket counts overflow"))?;
         self.reads = r.num("reads")?;
         self.writes = r.num("writes")?;
         self.bytes_read = r.num("bytes_read")?;

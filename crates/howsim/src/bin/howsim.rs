@@ -103,23 +103,14 @@ struct Options {
     deadline: DeadlinePolicy,
 }
 
-/// Parses `--queue` values: `heap`, `wheel`, or `sharded:<n>`.
+/// Parses `--queue` values: `heap` or `wheel`.
 fn parse_queue(name: &str) -> Result<QueueBackend, String> {
     match name {
         "heap" => Ok(QueueBackend::BinaryHeap),
         "wheel" => Ok(QueueBackend::CalendarWheel),
-        _ => match name.strip_prefix("sharded:") {
-            Some(n) => {
-                let shards: usize = n.parse().map_err(|e| format!("--queue sharded:<n>: {e}"))?;
-                if shards == 0 {
-                    return Err("--queue sharded:<n> needs n >= 1".to_string());
-                }
-                Ok(QueueBackend::ShardedWheel { shards })
-            }
-            None => Err(format!(
-                "--queue: unknown backend `{name}` (want heap, wheel, or sharded:<n>)"
-            )),
-        },
+        _ => Err(format!(
+            "--queue: unknown backend `{name}` (want heap or wheel)"
+        )),
     }
 }
 
@@ -128,7 +119,7 @@ fn usage() -> String {
      \x20      [--memory <MB>] [--interconnect <MB/s>] [--no-direct]\n\
      \x20      [--fibre-switch] [--fast-disk] [--jobs <n>] [--cache] [--no-cache]\n\
      \x20      [--seed <n>] [--fault <spec>]... [--recovery <failstop|redistribute|reconstruct>]\n\
-     \x20      [--queue <heap|wheel|sharded:<n>>]\n\
+     \x20      [--queue <heap|wheel>]\n\
      \x20      [--trace <file.csv>] [--trace-out <file.jsonl>] [--metrics-out <file.json>]\n\
      \x20      [--trace-events <file.json>]\n\
      \x20      [--load <poisson:<qps>:<queries>[@seed] | closed:<clients>:<queries>[@seed]>]\n\
@@ -925,12 +916,7 @@ mod tests {
             parse(&argv("--queue wheel")).unwrap().queue,
             QueueBackend::CalendarWheel
         );
-        assert_eq!(
-            parse(&argv("--queue sharded:4")).unwrap().queue,
-            QueueBackend::ShardedWheel { shards: 4 }
-        );
-        assert!(parse(&argv("--queue sharded:0")).is_err());
-        assert!(parse(&argv("--queue sharded:x")).is_err());
+        assert!(parse(&argv("--queue sharded:4")).is_err());
         assert!(parse(&argv("--queue splay")).is_err());
         assert!(parse(&argv("--queue")).is_err());
     }

@@ -2,31 +2,32 @@
 //!
 //! Every simulation is a pure function of `(architecture, plan,
 //! degraded-disk set, seed, fault plan, recovery policy)`, so its
-//! [`Report`] can be memoized. The cache key is that tuple's canonical
-//! representation, content-addressed by the same FNV-1a hash the run
-//! manifests use ([`crate::manifest::fnv1a64`]); the full key material
-//! is stored alongside each entry and verified on lookup, so a hash
-//! collision can never return the wrong report.
+//! [`Report`] can be memoized; a loaded run's [`LoadReport`] likewise,
+//! with the workload, admission, and deadline specs in place of the
+//! plan. The cache key is that tuple's canonical representation,
+//! content-addressed by FNV-1a ([`simcore::state::fnv1a64`]); the full
+//! key material is stored alongside each entry and verified on lookup,
+//! so a hash collision can never return the wrong report.
 //!
-//! Two tiers:
+//! Two tiers, one implementation for both stored types:
 //!
 //! * **In-memory** (always available, on by default): a process-wide
 //!   map, so overlapping points across figure sweeps in one
 //!   `experiments` invocation simulate once.
 //! * **On-disk** (opt-in via [`set_disk_dir`], `--cache` in the
-//!   binaries): entries under `results/.simcache/` persist across
-//!   invocations. Files are written atomically (temp file + rename) and
-//!   carry an FNV-1a checksum over their payload; any unreadable,
-//!   truncated, bit-flipped, or colliding entry is treated as a miss.
-//!   Wipe the cache by deleting the directory.
+//!   binaries): `<hash>.report` and `<hash>.load` entries under
+//!   `results/.simcache/` persist across invocations. Each file is the
+//!   shared armor of [`simcore::state`] around an exact-integer body,
+//!   published atomically; any unreadable, truncated, bit-flipped, or
+//!   colliding entry is treated as a miss. Wipe the cache by deleting
+//!   the directory.
 //!
 //! Because cached reports are bit-identical to fresh ones (exact integer
-//! serialization, no floats — see [`crate::manifest::report_to_cache`])
-//! and [`run_plans`] dispatches misses through the deterministic
-//! [`crate::sweep`] engine, cache-on and cache-off outputs are
-//! byte-identical for any worker count. The event-queue backend is
-//! deliberately *not* part of the key: every backend produces identical
-//! reports (enforced by test), so they share entries.
+//! serialization, no floats) and [`run_sims`] dispatches misses through
+//! the deterministic [`crate::sweep`] engine, cache-on and cache-off
+//! outputs are byte-identical for any worker count. The event-queue
+//! backend is deliberately *not* part of the key: every backend produces
+//! identical reports (enforced by test), so they share entries.
 
 use std::collections::HashMap;
 use std::fs;
@@ -34,17 +35,14 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
 use arch::Architecture;
-use simcore::SimTime;
+use simcore::state::{self, fnv1a64, intern, StateError, StateReader, StateWriter};
+use simcore::{Duration, Histogram, SimTime};
 use tasks::{plan_task, TaskKind, TaskPlan};
 
-use crate::checkpoint;
-use crate::exec::{ExecRun, Simulation};
+use crate::exec::Simulation;
 use crate::faults::{FaultPlan, RecoveryPolicy};
-use crate::manifest::{
-    fnv1a64, load_report_from_cache, load_report_to_cache, report_from_cache, report_to_cache,
-};
-use crate::mqexec::LoadReport;
-use crate::report::Report;
+use crate::mqexec::{LoadReport, QueryOutcome, QueryPhase, QueryStatus};
+use crate::report::{PhaseReport, Report};
 use crate::sweep;
 use crate::workload::{AdmissionPolicy, DeadlinePolicy, WorkloadSpec};
 
@@ -62,7 +60,7 @@ pub const LOAD_SCHEMA: &str = "howsim-loadcache/v1";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups served without simulating (including points deduplicated
-    /// within one [`run_plans`] batch).
+    /// within one [`run_sims`] batch).
     pub hits: u64,
     /// Lookups that had to simulate.
     pub misses: u64,
@@ -70,15 +68,191 @@ pub struct CacheStats {
     pub disk_hits: u64,
 }
 
+/// Hash → entries; a `Vec` per hash so verified key material, not the
+/// hash, decides equality.
+type Tier<T> = HashMap<u64, Vec<(String, T)>>;
+
 struct CacheState {
     enabled: bool,
     disk_dir: Option<PathBuf>,
-    /// Hash → entries; a `Vec` per hash so verified key material, not
-    /// the hash, decides equality.
-    entries: HashMap<u64, Vec<(String, Report)>>,
-    /// Loaded-run tier, same collision discipline.
-    load_entries: HashMap<u64, Vec<(String, LoadReport)>>,
+    reports: Tier<Report>,
+    loads: Tier<LoadReport>,
     stats: CacheStats,
+}
+
+/// A value the cache memoizes: its on-disk schema and file extension,
+/// its exact-integer body codec, and its in-memory tier.
+trait Entry: Clone + Sized {
+    const SCHEMA: &'static str;
+    const EXT: &'static str;
+    fn save_state(&self, w: &mut StateWriter);
+    fn load_state(r: &mut StateReader<'_>) -> Result<Self, StateError>;
+    fn tier(st: &mut CacheState) -> &mut Tier<Self>;
+}
+
+impl Entry for Report {
+    const SCHEMA: &'static str = SCHEMA;
+    const EXT: &'static str = "report";
+
+    fn save_state(&self, w: &mut StateWriter) {
+        w.str_field("task", self.task);
+        w.str_field("arch", self.architecture);
+        w.field("disks", self.disks);
+        w.field("events", self.events);
+        w.field("faults_injected", self.faults_injected);
+        w.field("recovery_ns", self.recovery_time.as_nanos());
+        w.field("work_redistributed", self.work_redistributed);
+        w.flag("aborted", self.aborted);
+        w.field("downtime_ns", self.downtime.as_nanos());
+        let h = &self.disk_service;
+        w.field("hist_total_ns", h.total().as_nanos());
+        w.field("hist_max_ns", h.max().as_nanos());
+        w.list("hist_buckets", h.bucket_counts());
+        w.field("phases", self.phases.len());
+        for p in &self.phases {
+            p.save_state(w);
+        }
+    }
+
+    fn load_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
+        let task = intern(r.field("task")?);
+        let architecture = intern(r.field("arch")?);
+        let disks = r.num("disks")?;
+        let events = r.num("events")?;
+        let faults_injected = r.num("faults_injected")?;
+        let recovery_time = Duration::from_nanos(r.num("recovery_ns")?);
+        let work_redistributed = r.num("work_redistributed")?;
+        let aborted = r.flag("aborted")?;
+        let downtime = Duration::from_nanos(r.num("downtime_ns")?);
+        let total = Duration::from_nanos(r.num("hist_total_ns")?);
+        let max = Duration::from_nanos(r.num("hist_max_ns")?);
+        let buckets: [u64; 64] = r
+            .nums("hist_buckets")?
+            .try_into()
+            .map_err(|_| StateError::new("hist_buckets: expected 64 counts"))?;
+        let disk_service = Histogram::from_raw(buckets, total, max)
+            .ok_or_else(|| StateError::new("hist_buckets: counts overflow"))?;
+        Ok(Report {
+            task,
+            architecture,
+            disks,
+            phases: r.counted("phases", PhaseReport::load_state)?,
+            disk_service,
+            events,
+            faults_injected,
+            recovery_time,
+            work_redistributed,
+            aborted,
+            downtime,
+        })
+    }
+
+    fn tier(st: &mut CacheState) -> &mut Tier<Self> {
+        &mut st.reports
+    }
+}
+
+impl Entry for LoadReport {
+    const SCHEMA: &'static str = LOAD_SCHEMA;
+    const EXT: &'static str = "load";
+
+    fn save_state(&self, w: &mut StateWriter) {
+        w.str_field("arch", self.architecture);
+        w.field("disks", self.disks);
+        w.str_field("workload", &self.workload);
+        w.str_field("admission", &self.admission);
+        w.str_field("deadline", &self.deadline);
+        w.field("elapsed_ns", self.elapsed.as_nanos());
+        w.field("events", self.events);
+        w.field("faults_injected", self.faults_injected);
+        w.field("work_redistributed", self.work_redistributed);
+        w.field("downtime_ns", self.downtime.as_nanos());
+        w.field("queries", self.outcomes.len());
+        for o in &self.outcomes {
+            w.field("query", o.query);
+            w.str_field("qtask", o.task.name());
+            w.str_field("status", o.status.name());
+            w.field("arrival_ns", o.arrival.as_nanos());
+            match o.started {
+                Some(t) => w.field("started_ns", t.as_nanos()),
+                None => w.field("started_ns", "none"),
+            }
+            w.field("finished_ns", o.finished.as_nanos());
+            w.field("retries", o.retries);
+            w.field("timeouts", o.timeouts);
+            w.field("qevents", o.events);
+            w.field("qphases", o.phases.len());
+            for p in &o.phases {
+                w.named("qphase", p.elapsed.as_nanos(), p.name);
+            }
+        }
+    }
+
+    fn load_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
+        let architecture = intern(r.field("arch")?);
+        let disks = r.num("disks")?;
+        let workload = r.field("workload")?.to_string();
+        let admission = r.field("admission")?.to_string();
+        let deadline = r.field("deadline")?.to_string();
+        let elapsed = Duration::from_nanos(r.num("elapsed_ns")?);
+        let events = r.num("events")?;
+        let faults_injected = r.num("faults_injected")?;
+        let work_redistributed = r.num("work_redistributed")?;
+        let downtime = Duration::from_nanos(r.num("downtime_ns")?);
+        let outcomes = r.counted("queries", |r| {
+            let query = r.num("query")?;
+            let name = r.field("qtask")?;
+            let task = *TaskKind::ALL
+                .iter()
+                .find(|k| k.name() == name)
+                .ok_or_else(|| StateError::new(format!("qtask: unknown task {name:?}")))?;
+            let name = r.field("status")?;
+            let status = QueryStatus::parse(name)
+                .ok_or_else(|| StateError::new(format!("status: unknown status {name:?}")))?;
+            let arrival = SimTime::from_nanos(r.num("arrival_ns")?);
+            let started = match r.field("started_ns")? {
+                "none" => None,
+                ns => Some(SimTime::from_nanos(ns.parse().map_err(|_| {
+                    StateError::new(format!("started_ns: bad value {ns:?}"))
+                })?)),
+            };
+            Ok(QueryOutcome {
+                query,
+                task,
+                arrival,
+                started,
+                finished: SimTime::from_nanos(r.num("finished_ns")?),
+                status,
+                retries: r.num("retries")?,
+                timeouts: r.num("timeouts")?,
+                events: r.num("qevents")?,
+                phases: r.counted("qphases", |r| {
+                    let (ns, name) = r.named("qphase")?;
+                    Ok(QueryPhase {
+                        name: intern(name),
+                        elapsed: Duration::from_nanos(ns),
+                    })
+                })?,
+            })
+        })?;
+        Ok(LoadReport {
+            architecture,
+            disks,
+            workload,
+            admission,
+            deadline,
+            outcomes,
+            elapsed,
+            events,
+            faults_injected,
+            work_redistributed,
+            downtime,
+        })
+    }
+
+    fn tier(st: &mut CacheState) -> &mut Tier<Self> {
+        &mut st.loads
+    }
 }
 
 fn state() -> &'static Mutex<CacheState> {
@@ -87,8 +261,8 @@ fn state() -> &'static Mutex<CacheState> {
         Mutex::new(CacheState {
             enabled: true,
             disk_dir: None,
-            entries: HashMap::new(),
-            load_entries: HashMap::new(),
+            reports: HashMap::new(),
+            loads: HashMap::new(),
             stats: CacheStats::default(),
         })
     })
@@ -116,11 +290,6 @@ pub fn set_disk_dir(dir: Option<PathBuf>) {
     lock().disk_dir = dir;
 }
 
-/// The on-disk tier directory, if one is configured.
-pub fn disk_dir() -> Option<PathBuf> {
-    lock().disk_dir.clone()
-}
-
 /// The conventional on-disk cache location, next to the experiment CSVs.
 pub fn default_disk_dir() -> PathBuf {
     PathBuf::from("results/.simcache")
@@ -129,8 +298,8 @@ pub fn default_disk_dir() -> PathBuf {
 /// Drops every in-memory entry (the on-disk tier is untouched).
 pub fn clear() {
     let mut st = lock();
-    st.entries.clear();
-    st.load_entries.clear();
+    st.reports.clear();
+    st.loads.clear();
 }
 
 /// Lifetime hit/miss counters.
@@ -161,88 +330,101 @@ pub fn key_material(
     )
 }
 
-fn entry_path(dir: &Path, hash: u64) -> PathBuf {
-    dir.join(format!("{hash:016x}.report"))
+fn entry_path<T: Entry>(dir: &Path, key: &str) -> PathBuf {
+    dir.join(format!("{:016x}.{}", fnv1a64(key.as_bytes()), T::EXT))
 }
 
-fn disk_load(dir: &Path, hash: u64, key: &str) -> Option<Report> {
-    let text = fs::read_to_string(entry_path(dir, hash)).ok()?;
-    let mut sections = text.splitn(3, '\n');
-    if sections.next()? != SCHEMA {
-        return None;
-    }
-    let sum = u64::from_str_radix(sections.next()?.strip_prefix("sum ")?, 16).ok()?;
-    let payload = sections.next()?;
-    if fnv1a64(payload.as_bytes()) != sum {
-        return None; // truncated or bit-flipped entry
-    }
-    let (key_line, body) = payload.split_once('\n')?;
-    if key_line.strip_prefix("key ")? != key {
+/// Decodes an on-disk entry: the armor must verify under `T`'s schema
+/// and carry exactly `key`, and the body must decode with nothing left
+/// over. Anything else is a miss.
+fn decode<T: Entry>(text: &str, key: &str) -> Option<T> {
+    let (stored, body) = state::open(T::SCHEMA, text)?;
+    if stored != key {
         return None; // hash collision with a different config
     }
-    report_from_cache(body).ok()
+    let mut r = StateReader::new(body);
+    let value = T::load_state(&mut r).ok()?;
+    r.expect_done().ok()?;
+    Some(value)
 }
 
-fn disk_store(dir: &Path, hash: u64, key: &str, report: &Report) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    // Atomic publish: concurrent processes may race on the same entry,
-    // but each rename installs a complete, verified file.
-    let tmp = dir.join(format!(".tmp-{:016x}-{}", hash, std::process::id()));
-    let payload = format!("key {key}\n{}", report_to_cache(report));
-    let sum = fnv1a64(payload.as_bytes());
-    fs::write(&tmp, format!("{SCHEMA}\nsum {sum:016x}\n{payload}"))?;
-    fs::rename(&tmp, entry_path(dir, hash))
+/// The on-disk bytes of `value` stored under `key`.
+fn encode<T: Entry>(value: &T, key: &str) -> String {
+    let mut w = StateWriter::new();
+    value.save_state(&mut w);
+    state::seal(T::SCHEMA, key, &w.finish())
 }
 
 /// Looks `key` up in both tiers, counting one hit or one miss.
-fn probe(key: &str) -> Option<Report> {
+fn probe<T: Entry>(key: &str) -> Option<T> {
     let hash = fnv1a64(key.as_bytes());
     let disk = {
         let mut st = lock();
-        if let Some(found) = st
-            .entries
+        if let Some(found) = T::tier(&mut st)
             .get(&hash)
             .and_then(|entries| entries.iter().find(|(k, _)| k == key))
-            .map(|(_, r)| r.clone())
+            .map(|(_, v)| v.clone())
         {
             st.stats.hits += 1;
             return Some(found);
         }
         st.disk_dir.clone()
     };
-    if let Some(dir) = disk {
-        // File I/O happens outside the lock.
-        if let Some(report) = disk_load(&dir, hash, key) {
-            let mut st = lock();
+    // File I/O happens outside the lock.
+    let found = disk.and_then(|dir| {
+        let text = fs::read_to_string(entry_path::<T>(&dir, key)).ok()?;
+        decode::<T>(&text, key)
+    });
+    let mut st = lock();
+    match found {
+        Some(value) => {
             st.stats.hits += 1;
             st.stats.disk_hits += 1;
-            let entries = st.entries.entry(hash).or_default();
-            if !entries.iter().any(|(k, _)| k == key) {
-                entries.push((key.to_string(), report.clone()));
-            }
-            return Some(report);
+            remember(T::tier(&mut st), hash, key, &value);
+            Some(value)
+        }
+        None => {
+            st.stats.misses += 1;
+            None
         }
     }
-    lock().stats.misses += 1;
-    None
 }
 
-/// Records a freshly simulated report under `key` in both tiers.
-fn insert(key: &str, report: Report) {
-    let hash = fnv1a64(key.as_bytes());
+/// Records a freshly simulated value under `key` in both tiers.
+fn insert<T: Entry>(key: &str, value: &T) {
     let disk = {
         let mut st = lock();
-        let entries = st.entries.entry(hash).or_default();
-        if !entries.iter().any(|(k, _)| k == key) {
-            entries.push((key.to_string(), report.clone()));
-        }
+        remember(T::tier(&mut st), fnv1a64(key.as_bytes()), key, value);
         st.disk_dir.clone()
     };
     if let Some(dir) = disk {
         // Best effort: a full disk or unwritable directory degrades to
         // memory-only caching rather than failing the sweep.
-        let _ = disk_store(&dir, hash, key, &report);
+        let _ = state::publish(&entry_path::<T>(&dir, key), &encode(value, key));
     }
+}
+
+/// Adds `value` to the memory tier unless `key` is already there.
+fn remember<T: Entry>(tier: &mut Tier<T>, hash: u64, key: &str, value: &T) {
+    let entries = tier.entry(hash).or_default();
+    if !entries.iter().any(|(k, _)| k == key) {
+        entries.push((key.to_string(), value.clone()));
+    }
+}
+
+/// Serves `key` from the cache, or computes it with `run` and records
+/// the result; `run` alone when the cache is off.
+fn memoized<T: Entry>(key: impl FnOnce() -> String, run: impl FnOnce() -> T) -> T {
+    if !enabled() {
+        return run();
+    }
+    let key = key();
+    if let Some(value) = probe(&key) {
+        return value;
+    }
+    let value = run();
+    insert(&key, &value);
+    value
 }
 
 /// Plans and runs `task` on `arch` through the cache.
@@ -284,52 +466,33 @@ pub fn insert_sim(sim: &Simulation, plan: &TaskPlan, report: &Report) {
     if !enabled() {
         return;
     }
-    insert(&sim_key(sim, plan), report.clone());
+    insert(&sim_key(sim, plan), report);
 }
 
 /// Runs `plan` on a configured [`Simulation`] through the cache (the
 /// degraded-disk set, seed, fault plan, and recovery policy all
 /// participate in the key).
 pub fn run_sim(sim: &Simulation, plan: &TaskPlan) -> Report {
-    if !enabled() {
-        return sim.run_plan(plan);
-    }
-    let key = sim_key(sim, plan);
-    if let Some(report) = probe(&key) {
-        return report;
-    }
-    let report = sim.run_plan(plan);
-    insert(&key, report.clone());
-    report
+    memoized(|| sim_key(sim, plan), || sim.run_plan(plan))
 }
 
 /// Batch variant of [`run`]: plans every point and delegates to
-/// [`run_plans`].
+/// [`run_sims`].
 pub fn run_tasks(points: &[(Architecture, TaskKind)]) -> Vec<Report> {
-    let plans: Vec<(Architecture, TaskPlan)> = points
-        .iter()
-        .map(|(arch, task)| (arch.clone(), plan_task(*task, arch)))
-        .collect();
-    run_plans(&plans)
-}
-
-/// Runs a batch of sweep points, deduplicating before dispatch: cached
-/// points are served immediately, duplicate uncached points simulate
-/// once (the copies count as hits), and the unique misses go through
-/// [`sweep::map`] in parallel. Results come back in point order, so the
-/// output is byte-identical to mapping [`Simulation::run_plan`] over the
-/// points directly.
-pub fn run_plans(points: &[(Architecture, TaskPlan)]) -> Vec<Report> {
     let sims: Vec<(Simulation, TaskPlan)> = points
         .iter()
-        .map(|(arch, plan)| (Simulation::new(arch.clone()), plan.clone()))
+        .map(|(arch, task)| (Simulation::new(arch.clone()), plan_task(*task, arch)))
         .collect();
     run_sims(&sims)
 }
 
 /// Runs a batch of fully configured simulations (degraded disks, seeds,
-/// fault plans and all) through the cache with the same deduplication and
-/// deterministic parallel dispatch as [`run_plans`].
+/// fault plans and all) through the cache, deduplicating before
+/// dispatch: cached points are served immediately, duplicate uncached
+/// points simulate once (the copies count as hits), and the unique
+/// misses go through [`sweep::map`] in parallel. Results come back in
+/// point order, so the output is byte-identical to mapping
+/// [`Simulation::run_plan`] over the points directly.
 pub fn run_sims(points: &[(Simulation, TaskPlan)]) -> Vec<Report> {
     if !enabled() {
         return sweep::map(points, |(sim, plan)| sim.run_plan(plan));
@@ -366,7 +529,7 @@ pub fn run_sims(points: &[(Simulation, TaskPlan)]) -> Vec<Report> {
         sim.run_plan(plan)
     });
     for (&ix, report) in jobs.iter().zip(&fresh) {
-        insert(&keys[ix], report.clone());
+        insert(&keys[ix], report);
     }
     slots
         .into_iter()
@@ -400,116 +563,6 @@ pub fn load_key_material(
     )
 }
 
-fn load_entry_path(dir: &Path, hash: u64) -> PathBuf {
-    dir.join(format!("{hash:016x}.load"))
-}
-
-fn disk_load_report(dir: &Path, hash: u64, key: &str) -> Option<LoadReport> {
-    let text = fs::read_to_string(load_entry_path(dir, hash)).ok()?;
-    let mut sections = text.splitn(3, '\n');
-    if sections.next()? != LOAD_SCHEMA {
-        return None;
-    }
-    let sum = u64::from_str_radix(sections.next()?.strip_prefix("sum ")?, 16).ok()?;
-    let payload = sections.next()?;
-    if fnv1a64(payload.as_bytes()) != sum {
-        return None;
-    }
-    let (key_line, body) = payload.split_once('\n')?;
-    if key_line.strip_prefix("key ")? != key {
-        return None;
-    }
-    load_report_from_cache(body).ok()
-}
-
-fn disk_store_load(dir: &Path, hash: u64, key: &str, report: &LoadReport) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let tmp = dir.join(format!(".ltmp-{:016x}-{}", hash, std::process::id()));
-    let payload = format!("key {key}\n{}", load_report_to_cache(report));
-    let sum = fnv1a64(payload.as_bytes());
-    fs::write(&tmp, format!("{LOAD_SCHEMA}\nsum {sum:016x}\n{payload}"))?;
-    fs::rename(&tmp, load_entry_path(dir, hash))
-}
-
-fn probe_load(key: &str) -> Option<LoadReport> {
-    let hash = fnv1a64(key.as_bytes());
-    let disk = {
-        let mut st = lock();
-        if let Some(found) = st
-            .load_entries
-            .get(&hash)
-            .and_then(|entries| entries.iter().find(|(k, _)| k == key))
-            .map(|(_, r)| r.clone())
-        {
-            st.stats.hits += 1;
-            return Some(found);
-        }
-        st.disk_dir.clone()
-    };
-    if let Some(dir) = disk {
-        if let Some(report) = disk_load_report(&dir, hash, key) {
-            let mut st = lock();
-            st.stats.hits += 1;
-            st.stats.disk_hits += 1;
-            let entries = st.load_entries.entry(hash).or_default();
-            if !entries.iter().any(|(k, _)| k == key) {
-                entries.push((key.to_string(), report.clone()));
-            }
-            return Some(report);
-        }
-    }
-    lock().stats.misses += 1;
-    None
-}
-
-fn insert_load(key: &str, report: LoadReport) {
-    let hash = fnv1a64(key.as_bytes());
-    let disk = {
-        let mut st = lock();
-        let entries = st.load_entries.entry(hash).or_default();
-        if !entries.iter().any(|(k, _)| k == key) {
-            entries.push((key.to_string(), report.clone()));
-        }
-        st.disk_dir.clone()
-    };
-    if let Some(dir) = disk {
-        let _ = disk_store_load(&dir, hash, key, &report);
-    }
-}
-
-/// Looks up a cached [`LoadReport`] for one load scenario without
-/// simulating on a miss. The warm-start load sweep uses this to serve
-/// hits before forking misses off a shared warm prefix; pairing it with
-/// [`insert_workload`] keeps cache-on and cache-off outputs
-/// byte-identical.
-pub fn probe_workload(
-    sim: &Simulation,
-    workload: &WorkloadSpec,
-    admission: AdmissionPolicy,
-    deadline: DeadlinePolicy,
-) -> Option<LoadReport> {
-    if !enabled() {
-        return None;
-    }
-    probe_load(&load_key_material(sim, workload, admission, deadline))
-}
-
-/// Records an externally computed [`LoadReport`] (e.g. a warm-start
-/// continuation's) under the same key [`run_workload`] would use.
-pub fn insert_workload(
-    sim: &Simulation,
-    workload: &WorkloadSpec,
-    admission: AdmissionPolicy,
-    deadline: DeadlinePolicy,
-    report: &LoadReport,
-) {
-    if !enabled() {
-        return;
-    }
-    let key = load_key_material(sim, workload, admission, deadline);
-    insert_load(&key, report.clone());
-}
-
 /// The cache key for a warm-start composite run (a warmup segment run
 /// to idle, then `measured` grafted on via [`crate::WarmStart::extend`]):
 /// the measured-load key plus the warmup spec, so a composite run can
@@ -530,7 +583,10 @@ pub fn warm_key_material(
 }
 
 /// Looks up a cached warm-start composite report (see
-/// [`warm_key_material`]) without simulating on a miss.
+/// [`warm_key_material`]) without simulating on a miss. The warm-start
+/// load sweep uses this to serve hits before forking misses off a shared
+/// warm prefix; pairing it with [`insert_warm_workload`] keeps cache-on
+/// and cache-off outputs byte-identical.
 pub fn probe_warm_workload(
     sim: &Simulation,
     warmup: &WorkloadSpec,
@@ -541,7 +597,7 @@ pub fn probe_warm_workload(
     if !enabled() {
         return None;
     }
-    probe_load(&warm_key_material(
+    probe(&warm_key_material(
         sim, warmup, measured, admission, deadline,
     ))
 }
@@ -558,53 +614,10 @@ pub fn insert_warm_workload(
     if !enabled() {
         return;
     }
-    let key = warm_key_material(sim, warmup, measured, admission, deadline);
-    insert_load(&key, report.clone());
-}
-
-/// Stores a paused run in the `.ckpt` tier of the configured on-disk
-/// cache directory (a no-op returning `None` when the cache is off or
-/// memory-only — checkpoints have no in-memory tier because they borrow
-/// their plan). Returns the entry path on success.
-pub fn store_checkpoint(
-    sim: &Simulation,
-    plan: &TaskPlan,
-    at: SimTime,
-    run: &ExecRun<'_>,
-) -> Option<PathBuf> {
-    if !enabled() {
-        return None;
-    }
-    let dir = disk_dir()?;
-    // Best effort, like `disk_store`: an unwritable directory degrades
-    // to re-simulating the prefix rather than failing the run.
-    checkpoint::store(&dir, sim, plan, at, run).ok()
-}
-
-/// Looks up the `.ckpt` tier for a run paused at `at` and rebuilds it
-/// under `sim`'s queue backend. Counts a disk hit or a miss; corrupt or
-/// mismatched entries are clean misses.
-pub fn probe_checkpoint<'p>(
-    sim: &Simulation,
-    plan: &'p TaskPlan,
-    at: SimTime,
-) -> Option<ExecRun<'p>> {
-    if !enabled() {
-        return None;
-    }
-    let dir = disk_dir()?;
-    match checkpoint::probe(&dir, sim, plan, at) {
-        Some(run) => {
-            let mut st = lock();
-            st.stats.hits += 1;
-            st.stats.disk_hits += 1;
-            Some(run)
-        }
-        None => {
-            lock().stats.misses += 1;
-            None
-        }
-    }
+    insert(
+        &warm_key_material(sim, warmup, measured, admission, deadline),
+        report,
+    );
 }
 
 /// Runs a multi-query workload through the cache. The key covers the
@@ -617,66 +630,10 @@ pub fn run_workload(
     admission: AdmissionPolicy,
     deadline: DeadlinePolicy,
 ) -> LoadReport {
-    if !enabled() {
-        return sim.run_workload(workload, admission, deadline);
-    }
-    let key = load_key_material(sim, workload, admission, deadline);
-    if let Some(report) = probe_load(&key) {
-        return report;
-    }
-    let report = sim.run_workload(workload, admission, deadline);
-    insert_load(&key, report.clone());
-    report
-}
-
-/// Batch variant of [`run_workload`] with the same deduplication and
-/// deterministic parallel dispatch as [`run_sims`].
-pub fn run_workloads(
-    points: &[(Simulation, WorkloadSpec, AdmissionPolicy, DeadlinePolicy)],
-) -> Vec<LoadReport> {
-    if !enabled() {
-        return sweep::map(points, |(sim, w, adm, dl)| sim.run_workload(w, *adm, *dl));
-    }
-    enum Slot {
-        Ready(Box<LoadReport>),
-        Fresh(usize),
-    }
-    let keys: Vec<String> = points
-        .iter()
-        .map(|(sim, w, adm, dl)| load_key_material(sim, w, *adm, *dl))
-        .collect();
-    let mut first_job: HashMap<&str, usize> = HashMap::new();
-    let mut jobs: Vec<usize> = Vec::new();
-    let mut slots: Vec<Slot> = Vec::with_capacity(points.len());
-    for (ix, key) in keys.iter().enumerate() {
-        if let Some(report) = probe_load(key) {
-            slots.push(Slot::Ready(Box::new(report)));
-        } else if let Some(&job) = first_job.get(key.as_str()) {
-            let mut st = lock();
-            st.stats.hits += 1;
-            st.stats.misses -= 1; // probe above counted it as a miss
-            drop(st);
-            slots.push(Slot::Fresh(job));
-        } else {
-            first_job.insert(key, jobs.len());
-            slots.push(Slot::Fresh(jobs.len()));
-            jobs.push(ix);
-        }
-    }
-    let fresh: Vec<LoadReport> = sweep::map(&jobs, |&ix| {
-        let (sim, w, adm, dl) = &points[ix];
-        sim.run_workload(w, *adm, *dl)
-    });
-    for (&ix, report) in jobs.iter().zip(&fresh) {
-        insert_load(&keys[ix], report.clone());
-    }
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Slot::Ready(report) => *report,
-            Slot::Fresh(job) => fresh[job].clone(),
-        })
-        .collect()
+    memoized(
+        || load_key_material(sim, workload, admission, deadline),
+        || sim.run_workload(workload, admission, deadline),
+    )
 }
 
 #[cfg(test)]
@@ -988,80 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn workload_batch_dedups_before_dispatch() {
-        let _guard = fresh_cache();
-        let sim = Simulation::new(Architecture::smp(2));
-        let w = WorkloadSpec::poisson(0.02, 2).with_mix(vec![(TaskKind::Select, 1)]);
-        let adm = AdmissionPolicy::default();
-        let dl = DeadlinePolicy::default();
-        let points = vec![
-            (sim.clone(), w.clone(), adm, dl),
-            (sim.clone(), w.clone().with_seed(5), adm, dl),
-            (sim.clone(), w.clone(), adm, dl), // duplicate of point 0
-        ];
-        let reports = run_workloads(&points);
-        assert_eq!(reports.len(), 3);
-        assert_eq!(reports[0], reports[2]);
-        let s = stats();
-        assert_eq!((s.hits, s.misses), (1, 2), "duplicate served from batch");
-        let again = run_workloads(&points);
-        assert_eq!(again, reports);
-    }
-
-    #[test]
-    fn checkpoint_tier_stores_and_resumes_paused_runs() {
-        let _guard = fresh_cache();
-        let dir = std::env::temp_dir().join(format!("howsim-ckpt-tier-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let arch = Architecture::active_disks(4);
-        let plan = plan_task(TaskKind::Select, &arch);
-        let sim = Simulation::new(arch).with_seed(5);
-        let scratch = sim.run_plan(&plan);
-        let at = simcore::SimTime::ZERO
-            + simcore::Duration::from_nanos(scratch.elapsed().as_nanos() / 2);
-        let mut run = sim.start(&plan);
-        run.run_until(at);
-
-        // Memory-only cache has no checkpoint tier: store is a no-op.
-        assert!(store_checkpoint(&sim, &plan, at, &run).is_none());
-        assert!(probe_checkpoint(&sim, &plan, at).is_none());
-        assert_eq!(stats(), CacheStats::default());
-
-        set_disk_dir(Some(dir.clone()));
-        let path = store_checkpoint(&sim, &plan, at, &run).expect("ckpt stored");
-        assert!(path.to_string_lossy().ends_with(".ckpt"));
-        // A different backend resumes the entry to the scratch report.
-        let resumer = sim
-            .clone()
-            .with_queue_backend(simcore::QueueBackend::BinaryHeap);
-        let restored = probe_checkpoint(&resumer, &plan, at).expect("ckpt hit");
-        assert_eq!(restored.finish(), scratch);
-        let s = stats();
-        assert_eq!((s.hits, s.disk_hits, s.misses), (1, 1, 0));
-        // A different pause boundary is a miss.
-        assert!(probe_checkpoint(&sim, &plan, at + simcore::Duration::from_nanos(1)).is_none());
-        assert_eq!(stats().misses, 1);
-
-        set_disk_dir(None);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn workload_probe_and_insert_pair_with_run_workload() {
-        let _guard = fresh_cache();
-        let sim = Simulation::new(Architecture::active_disks(2));
-        let w = WorkloadSpec::closed(1, 2).with_mix(vec![(TaskKind::Select, 1)]);
-        let adm = AdmissionPolicy::default();
-        let dl = DeadlinePolicy::default();
-        assert!(probe_workload(&sim, &w, adm, dl).is_none());
-        let fresh = sim.run_workload(&w, adm, dl);
-        insert_workload(&sim, &w, adm, dl, &fresh);
-        // run_workload now serves the externally inserted report.
-        assert_eq!(run_workload(&sim, &w, adm, dl), fresh);
-        assert_eq!(stats().hits, 1);
-    }
-
-    #[test]
     fn faulted_report_round_trips_through_disk_tier() {
         let _guard = fresh_cache();
         let dir =
@@ -1087,5 +970,142 @@ mod tests {
 
         set_disk_dir(None);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn multi_phase_reports_round_trip_bit_exactly() {
+        let arch = Architecture::cluster(4);
+        let report = Simulation::new(arch).run(TaskKind::Sort);
+        assert!(report.phases.len() > 1);
+        let text = encode(&report, "k");
+        assert_eq!(decode::<Report>(&text, "k"), Some(report.clone()));
+        assert_eq!(decode::<Report>(&text, "other key"), None);
+        let back = decode::<Report>(&text, "k").unwrap();
+        assert_eq!(encode(&back, "k"), text, "serialization is stable");
+    }
+
+    /// Valid files of each kind (written by an earlier revision; see
+    /// `tests/file_formats.rs`): the seeds every mutation starts from.
+    const FILES: [&str; 3] = [
+        include_str!("../tests/fixtures/select-active4.report"),
+        include_str!("../tests/fixtures/closed3-active4.load"),
+        include_str!("../tests/fixtures/select-active4-half.ckpt"),
+    ];
+    const SCHEMAS: [&str; 3] = [SCHEMA, LOAD_SCHEMA, crate::checkpoint::SCHEMA];
+
+    /// Decodes `text` as file kind `kind` (an index into [`FILES`])
+    /// through that kind's one open + decode path, under the
+    /// configuration its fixture was written for.
+    fn decodes(kind: usize, text: &str) -> bool {
+        let arch = Architecture::active_disks(4);
+        let sim = Simulation::new(arch.clone());
+        let plan = plan_task(TaskKind::Select, &arch);
+        match kind {
+            0 => decode::<Report>(text, &sim_key(&sim, &plan)).is_some(),
+            1 => {
+                let w = WorkloadSpec::closed(2, 3)
+                    .with_mix(vec![(TaskKind::Select, 1), (TaskKind::Aggregate, 1)]);
+                let key = load_key_material(
+                    &sim,
+                    &w,
+                    AdmissionPolicy::default(),
+                    DeadlinePolicy::default(),
+                );
+                decode::<LoadReport>(text, &key).is_some()
+            }
+            _ => crate::checkpoint::decode(text, &sim, &plan).is_some(),
+        }
+    }
+
+    #[test]
+    fn fixtures_decode() {
+        for (kind, file) in FILES.iter().enumerate() {
+            assert!(decodes(kind, file), "fixture {kind}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Bit flips, truncations, splices of two valid files, and
+        /// arbitrary bytes decode to nothing unless they spell a valid
+        /// file — and never panic.
+        #[test]
+        fn prop_damaged_files_are_clean_misses(
+            kind in 0usize..3,
+            damage in 0u8..4,
+            a in 0u64..u64::MAX,
+            b in 0u64..u64::MAX,
+            donor in 0usize..3,
+        ) {
+            let file = FILES[kind].as_bytes();
+            let bytes: Vec<u8> = match damage {
+                0 => {
+                    let mut v = file.to_vec();
+                    v[(a % file.len() as u64) as usize] ^= 1 << (b % 8);
+                    v
+                }
+                1 => file[..(a % (file.len() as u64 + 1)) as usize].to_vec(),
+                2 => {
+                    let tail = FILES[donor].as_bytes();
+                    let mut v = file[..(a % file.len() as u64) as usize].to_vec();
+                    v.extend_from_slice(&tail[(b % tail.len() as u64) as usize..]);
+                    v
+                }
+                _ => {
+                    let mut rng = simcore::SplitMix64::new(a);
+                    (0..b % 4096).map(|_| rng.next_below(256) as u8).collect()
+                }
+            };
+            // Files are read with `read_to_string`: invalid UTF-8 never
+            // reaches a decoder.
+            if let Ok(text) = std::str::from_utf8(&bytes) {
+                proptest::prop_assert_eq!(
+                    decodes(kind, text),
+                    text == FILES[kind],
+                    "damage {} of file {}",
+                    damage,
+                    kind
+                );
+            }
+        }
+
+        /// Body edits behind a valid checksum — a number set to
+        /// `u64::MAX` or replaced by a non-number, a line dropped or
+        /// duplicated — never panic the decoder.
+        #[test]
+        fn prop_resealed_body_edits_never_panic(
+            kind in 0usize..3,
+            edit in 0u8..4,
+            line in 0usize..100_000,
+            token in 0usize..100,
+        ) {
+            let (key, body) = state::open(SCHEMAS[kind], FILES[kind]).expect("valid fixture");
+            let mut lines: Vec<String> = body.lines().map(str::to_string).collect();
+            let i = line % lines.len();
+            match edit {
+                0 | 1 => {
+                    let mut words: Vec<String> =
+                        lines[i].split(' ').map(str::to_string).collect();
+                    let numbers: Vec<usize> = (0..words.len())
+                        .filter(|&j| words[j].parse::<u64>().is_ok())
+                        .collect();
+                    if !numbers.is_empty() {
+                        let j = numbers[token % numbers.len()];
+                        words[j] = if edit == 0 { u64::MAX.to_string() } else { "x".into() };
+                    }
+                    lines[i] = words.join(" ");
+                }
+                2 => {
+                    lines.remove(i);
+                }
+                _ => {
+                    let dup = lines[i].clone();
+                    lines.insert(i, dup);
+                }
+            }
+            let text = state::seal(SCHEMAS[kind], key, &(lines.join("\n") + "\n"));
+            let _ = decodes(kind, &text);
+        }
     }
 }

@@ -1,15 +1,17 @@
-//! On-disk checkpoint tier (`.ckpt`): paused [`ExecRun`] state,
-//! addressed and integrity-checked like the result cache
-//! ([`crate::cache`]).
+//! Checkpoint files (`.ckpt`): paused [`ExecRun`] state, written with
+//! [`write_file`] and resumed with [`read_file`].
 //!
 //! A checkpoint captures a run at an exact event boundary — machine
 //! state, fault runtime, finished-phase reports, and the live event
-//! queue — so a later process can resume it (under *any* queue
-//! backend) instead of re-simulating the prefix. Files carry the
-//! simcache v3 armor: a schema line, an FNV-1a checksum over the
-//! payload, and the full key material stored verbatim, so a truncated,
-//! bit-flipped, or mismatched entry is a clean miss, never a panic.
-//! Publication is atomic (write to a temp file, then rename).
+//! queue — so a later process can resume it (under either queue
+//! backend) instead of re-simulating the prefix. Files carry the shared
+//! armor of [`simcore::state`] (the result cache's too): a schema line,
+//! an FNV-1a checksum, and the full key material stored verbatim, so a
+//! truncated, bit-flipped, or mismatched file is a clean miss, never a
+//! panic. The body decoder also rejects state no paused single-query
+//! run can hold (events addressing missing nodes, control events,
+//! counts beyond the input). Publication is atomic (temp file, then
+//! rename).
 //!
 //! The checkpoint key deliberately excludes the queue backend: restored
 //! queue state is renumbered into whatever backend the resuming
@@ -21,13 +23,13 @@
 
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use simcore::{SimTime, StateReader, StateWriter};
+use simcore::state::{self, StateReader, StateWriter};
+use simcore::SimTime;
 use tasks::plan::TaskPlan;
 
 use crate::exec::{ExecRun, Simulation};
-use crate::manifest::fnv1a64;
 
 /// Checkpoint schema identifier, bumped on breaking layout changes.
 pub const SCHEMA: &str = "howsim-ckpt/v1";
@@ -52,50 +54,6 @@ pub fn checkpoint_key(sim: &Simulation, plan: &TaskPlan, at: SimTime) -> String 
     format!("{} | at={}", config_key(sim, plan), at.as_nanos())
 }
 
-/// The on-disk path of the checkpoint for `key` inside `dir`.
-pub fn entry_path(dir: &Path, key: &str) -> PathBuf {
-    dir.join(format!("{:016x}.ckpt", fnv1a64(key.as_bytes())))
-}
-
-/// Serializes a paused run into the checkpoint file format.
-///
-/// # Panics
-///
-/// Panics if the run is profiled (see [`ExecRun::save_state`]).
-pub fn encode(run: &ExecRun<'_>, key: &str) -> String {
-    let mut w = StateWriter::new();
-    run.save_state(&mut w);
-    let payload = format!("key {key}\n{}", w.finish());
-    let sum = fnv1a64(payload.as_bytes());
-    format!("{SCHEMA}\nsum {sum:016x}\n{payload}")
-}
-
-/// Verifies a checkpoint file's schema and checksum; returns the stored
-/// key and state body. Any corruption is `None`.
-fn parse(text: &str) -> Option<(&str, &str)> {
-    let mut sections = text.splitn(3, '\n');
-    if sections.next()? != SCHEMA {
-        return None;
-    }
-    let sum = u64::from_str_radix(sections.next()?.strip_prefix("sum ")?, 16).ok()?;
-    let payload = sections.next()?;
-    if fnv1a64(payload.as_bytes()) != sum {
-        return None; // truncated or bit-flipped entry
-    }
-    let (key_line, body) = payload.split_once('\n')?;
-    Some((key_line.strip_prefix("key ")?, body))
-}
-
-/// Decodes verified state text into a paused run. Codec errors (a
-/// structurally valid file whose body does not describe `sim`/`plan`)
-/// are a clean miss.
-fn decode_body<'p>(body: &str, sim: &Simulation, plan: &'p TaskPlan) -> Option<ExecRun<'p>> {
-    let mut r = StateReader::new(body);
-    let run = ExecRun::load_state(sim, plan, &mut r).ok()?;
-    r.expect_done().ok()?;
-    Some(run)
-}
-
 /// Atomically writes the checkpoint file for a paused run to `path`.
 ///
 /// # Panics
@@ -108,15 +66,10 @@ pub fn write_file(
     at: SimTime,
     run: &ExecRun<'_>,
 ) -> io::Result<()> {
-    let key = checkpoint_key(sim, plan, at);
-    let text = encode(run, &key);
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    if let Some(dir) = dir {
-        fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-    fs::write(&tmp, text)?;
-    fs::rename(&tmp, path)
+    let mut w = StateWriter::new();
+    run.save_state(&mut w);
+    let text = state::seal(SCHEMA, &checkpoint_key(sim, plan, at), &w.finish());
+    state::publish(path, &text)
 }
 
 /// Reads a checkpoint file written by [`write_file`], verifying it was
@@ -125,58 +78,22 @@ pub fn write_file(
 /// it, the state body carries the clock). Corrupt or mismatched files
 /// are a clean miss.
 pub fn read_file<'p>(path: &Path, sim: &Simulation, plan: &'p TaskPlan) -> Option<ExecRun<'p>> {
-    let text = fs::read_to_string(path).ok()?;
-    let (key, body) = parse(&text)?;
-    let config = config_key(sim, plan);
+    decode(&fs::read_to_string(path).ok()?, sim, plan)
+}
+
+/// Decodes checkpoint text: the armor must verify, the key must name
+/// this configuration, and the body must rebuild a paused run with
+/// nothing left over.
+pub(crate) fn decode<'p>(text: &str, sim: &Simulation, plan: &'p TaskPlan) -> Option<ExecRun<'p>> {
+    let (key, body) = state::open(SCHEMA, text)?;
     let (stored_config, at) = key.rsplit_once(" | at=")?;
-    if stored_config != config || at.parse::<u64>().is_err() {
+    if stored_config != config_key(sim, plan) || at.parse::<u64>().is_err() {
         return None; // saved under a different configuration
     }
-    decode_body(body, sim, plan)
-}
-
-/// Stores a paused run in the keyed checkpoint tier under `dir`;
-/// returns the entry path.
-///
-/// # Panics
-///
-/// Panics if the run is profiled (see [`ExecRun::save_state`]).
-pub fn store(
-    dir: &Path,
-    sim: &Simulation,
-    plan: &TaskPlan,
-    at: SimTime,
-    run: &ExecRun<'_>,
-) -> io::Result<PathBuf> {
-    let key = checkpoint_key(sim, plan, at);
-    let path = entry_path(dir, &key);
-    fs::create_dir_all(dir)?;
-    let tmp = dir.join(format!(
-        ".tmp-{:016x}-{}",
-        fnv1a64(key.as_bytes()),
-        std::process::id()
-    ));
-    fs::write(&tmp, encode(run, &key))?;
-    fs::rename(&tmp, &path)?;
-    Ok(path)
-}
-
-/// Looks up the checkpoint for `(sim, plan, at)` in `dir` and rebuilds
-/// the paused run under `sim`'s queue backend. Missing, truncated,
-/// bit-flipped, or colliding entries are a clean miss.
-pub fn probe<'p>(
-    dir: &Path,
-    sim: &Simulation,
-    plan: &'p TaskPlan,
-    at: SimTime,
-) -> Option<ExecRun<'p>> {
-    let key = checkpoint_key(sim, plan, at);
-    let text = fs::read_to_string(entry_path(dir, &key)).ok()?;
-    let (stored_key, body) = parse(&text)?;
-    if stored_key != key {
-        return None; // hash collision with a different config
-    }
-    decode_body(body, sim, plan)
+    let mut r = StateReader::new(body);
+    let run = ExecRun::load_state(sim, plan, &mut r).ok()?;
+    r.expect_done().ok()?;
+    Some(run)
 }
 
 #[cfg(test)]
@@ -185,12 +102,11 @@ mod tests {
     use crate::faults::{FaultPlan, RecoveryPolicy};
     use arch::Architecture;
     use simcore::QueueBackend;
+    use std::path::PathBuf;
     use tasks::{plan_task, TaskKind};
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("howsim-ckpt-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+    fn tmp_file(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("howsim-ckpt-{tag}-{}.ckpt", std::process::id()))
     }
 
     fn mid_run_pause(sim: &Simulation, plan: &TaskPlan) -> SimTime {
@@ -241,15 +157,11 @@ mod tests {
         let b = healthy
             .clone()
             .with_fault_plan(FaultPlan::parse_spec("disk:1@1s").unwrap());
-        let ka = checkpoint_key(&a, &plan, at);
-        let kb = checkpoint_key(&b, &plan, at);
-        assert_ne!(ka, kb);
-        let dir = tmp_dir("alias");
-        assert_ne!(entry_path(&dir, &ka), entry_path(&dir, &kb));
+        assert_ne!(checkpoint_key(&a, &plan, at), checkpoint_key(&b, &plan, at));
     }
 
     #[test]
-    fn store_probe_round_trip_resumes_identically_across_backends() {
+    fn file_round_trip_resumes_identically_across_backends() {
         let arch = Architecture::active_disks(4);
         let plan = plan_task(TaskKind::Select, &arch);
         let sim = Simulation::new(arch).with_seed(3);
@@ -258,21 +170,16 @@ mod tests {
 
         let mut run = sim.start(&plan);
         run.run_until(at);
-        let dir = tmp_dir("roundtrip");
-        store(&dir, &sim, &plan, at, &run).expect("store checkpoint");
+        let path = tmp_file("roundtrip");
+        write_file(&path, &sim, &plan, at, &run).expect("write checkpoint");
 
-        for backend in [
-            QueueBackend::CalendarWheel,
-            QueueBackend::BinaryHeap,
-            QueueBackend::ShardedWheel { shards: 1 },
-            QueueBackend::ShardedWheel { shards: 4 },
-        ] {
+        for backend in [QueueBackend::CalendarWheel, QueueBackend::BinaryHeap] {
             let resumer = sim.clone().with_queue_backend(backend);
             let restored =
-                probe(&dir, &resumer, &plan, at).expect("checkpoint hit under any backend");
+                read_file(&path, &resumer, &plan).expect("checkpoint hit under any backend");
             assert_eq!(restored.finish(), scratch, "backend {backend:?}");
         }
-        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -283,26 +190,29 @@ mod tests {
         let at = mid_run_pause(&sim, &plan);
         let mut run = sim.start(&plan);
         run.run_until(at);
-        let dir = tmp_dir("corrupt");
-        let path = store(&dir, &sim, &plan, at, &run).expect("store checkpoint");
-        assert!(probe(&dir, &sim, &plan, at).is_some(), "sanity: intact hit");
+        let path = tmp_file("corrupt");
+        write_file(&path, &sim, &plan, at, &run).expect("write checkpoint");
+        assert!(
+            read_file(&path, &sim, &plan).is_some(),
+            "sanity: intact hit"
+        );
 
         // Truncation: lop off the tail.
         let intact = fs::read_to_string(&path).expect("read entry");
         fs::write(&path, &intact[..intact.len() / 2]).expect("truncate");
-        assert!(probe(&dir, &sim, &plan, at).is_none(), "truncated → miss");
+        assert!(read_file(&path, &sim, &plan).is_none(), "truncated → miss");
 
         // Single bit flip in the body.
         let mut flipped = intact.clone().into_bytes();
         let ix = flipped.len() - 20;
         flipped[ix] ^= 0x01;
         fs::write(&path, flipped).expect("bit flip");
-        assert!(probe(&dir, &sim, &plan, at).is_none(), "bit flip → miss");
+        assert!(read_file(&path, &sim, &plan).is_none(), "bit flip → miss");
 
         // Wrong schema line.
         fs::write(&path, intact.replace(SCHEMA, "howsim-ckpt/v0")).expect("schema");
-        assert!(probe(&dir, &sim, &plan, at).is_none(), "bad schema → miss");
-        let _ = fs::remove_dir_all(&dir);
+        assert!(read_file(&path, &sim, &plan).is_none(), "bad schema → miss");
+        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -313,7 +223,8 @@ mod tests {
         let at = mid_run_pause(&sim, &plan);
         let mut run = sim.start(&plan);
         run.run_until(at);
-        let dir = tmp_dir("file");
+        let dir = std::env::temp_dir().join(format!("howsim-ckpt-file-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
         let path = dir.join("pause.ckpt");
         write_file(&path, &sim, &plan, at, &run).expect("write checkpoint");
 

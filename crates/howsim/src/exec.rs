@@ -13,8 +13,9 @@ use crate::faults::{
     FaultEvent, FaultKind, FaultPlan, RecoveryPolicy, DETECT_TIMEOUT, RETRY_TIMEOUT,
 };
 use crate::machine::Machine;
-use crate::metrics::{MetricsBuilder, Resource, ResourceUsage, RunMetrics};
+use crate::metrics::{MetricsBuilder, Resource, ResourceUsage};
 use crate::profile::{PhaseSpans, SpanTrace};
+use crate::report::{load_resources, load_tag_map, save_resources, save_tag_map};
 use crate::report::{PhaseReport, Report};
 use crate::trace::{NodeId, Trace, TraceEvent, TraceKind};
 use crate::BATCH_BYTES;
@@ -223,28 +224,6 @@ pub(crate) fn span(
             bytes,
         ),
         None => SpanId::NONE,
-    }
-}
-
-/// Shard key for the sharded scheduler backend: the node an event fires
-/// *on* (receiver side for transfers), so each shard's events are one
-/// node group's and cross-shard traffic pays interconnect latency —
-/// matching the lookahead bound. Front-end arrivals and the multi-query
-/// control plane ride shard 0. Placement never affects the pop order
-/// (the cross-shard merge is an exact `(time, seq)` argmin), so reports
-/// are identical for any key.
-pub(crate) fn shard_of_ev(ev: &Ev) -> usize {
-    match *ev {
-        Ev::BatchRead { node, .. }
-        | Ev::BatchProcessed { node, .. }
-        | Ev::RecvProcessed { node, .. }
-        | Ev::RecoveryKick { node, .. } => node,
-        Ev::PeerArrive { dst, .. } => dst,
-        Ev::FeArrive { .. }
-        | Ev::Admit { .. }
-        | Ev::PhaseStart { .. }
-        | Ev::Deadline { .. }
-        | Ev::Retry { .. } => 0,
     }
 }
 
@@ -866,58 +845,6 @@ impl Simulation {
         (report, spans.expect("profiled run returns a span trace"))
     }
 
-    /// Plans and runs a task with event tracing enabled.
-    pub fn run_traced(&self, task: TaskKind) -> (Report, Trace) {
-        let plan = plan_task(task, &self.arch);
-        self.run_plan_traced(&plan)
-    }
-
-    /// Runs an explicit phase plan with event tracing enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan fails validation.
-    pub fn run_plan_traced(&self, plan: &TaskPlan) -> (Report, Trace) {
-        let mut trace = Trace::new();
-        let report = self.run_plan_core(plan, Some(&mut trace), None, false).0;
-        (report, trace)
-    }
-
-    /// Plans and runs a task with time-series metrics sampling enabled
-    /// (default sampling interval; see
-    /// [`MetricsBuilder::DEFAULT_INTERVAL`]).
-    pub fn run_with_metrics(&self, task: TaskKind) -> (Report, RunMetrics) {
-        let plan = plan_task(task, &self.arch);
-        self.run_plan_with_metrics(&plan)
-    }
-
-    /// Runs an explicit phase plan with metrics sampling enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan fails validation.
-    pub fn run_plan_with_metrics(&self, plan: &TaskPlan) -> (Report, RunMetrics) {
-        let mut metrics = MetricsBuilder::new();
-        let report = self.run_plan_core(plan, None, Some(&mut metrics), false).0;
-        let events = report.events;
-        (report, metrics.finish(events))
-    }
-
-    /// Runs a plan with any combination of tracing and metrics sampling.
-    /// The report is bit-identical whatever instrumentation is attached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan fails validation.
-    pub fn run_plan_instrumented(
-        &self,
-        plan: &TaskPlan,
-        trace: Option<&mut Trace>,
-        metrics: Option<&mut MetricsBuilder>,
-    ) -> Report {
-        self.run_plan_core(plan, trace, metrics, false).0
-    }
-
     /// Runs a plan with any combination of event tracing, metrics
     /// sampling, and (when `profiled`) span recording, in a single
     /// simulation pass. The report is bit-identical whatever
@@ -1456,8 +1383,6 @@ impl<'p> ExecRun<'p> {
         // messages they fan out into; pre-size the queue to that depth.
         let mut q: EventQueue<Ev> =
             EventQueue::with_backend_capacity(self.sim.queue_backend, n * (window as usize + 4));
-        q.set_shard_fn(shard_of_ev);
-        q.set_lookahead(m.lookahead_bound());
         let (mut nodes, sched, init_abort) = init_phase_nodes(m, phase, fr, start);
         if let Some(abort) = init_abort {
             return PhaseStart::Aborted { before, end: abort };
@@ -1724,23 +1649,20 @@ impl ExecRun<'_> {
         );
         w.field("clock_ns", self.clock.as_nanos());
         w.field("events", self.events);
-        w.field("aborted", u8::from(self.aborted));
+        w.flag("aborted", self.aborted);
         w.field("phase_ix", self.phase_ix);
-        w.field("done", u8::from(self.done));
+        w.flag("done", self.done);
         self.machine.save_state(w);
         self.fr.save_state(w);
         w.field("phases_done", self.phases.len());
         for p in &self.phases {
-            save_phase_report(p, w);
+            p.save_state(w);
         }
-        w.field("midphase", u8::from(self.cur.is_some()));
+        w.flag("midphase", self.cur.is_some());
         if let Some(cur) = &self.cur {
-            match &cur.pending {
-                Some((t, ev)) => {
-                    w.field("pending", 1u8);
-                    w.str_field("pending_ev", &format!("{} {}", t.as_nanos(), encode_ev(ev)));
-                }
-                None => w.field("pending", 0u8),
+            w.flag("pending", cur.pending.is_some());
+            if let Some((t, ev)) = &cur.pending {
+                w.str_field("pending_ev", &format!("{} {}", t.as_nanos(), encode_ev(ev)));
             }
             let snap = cur.q.snapshot();
             w.field("q_popped", snap.popped);
@@ -1766,11 +1688,12 @@ impl ExecRun<'_> {
 impl<'p> ExecRun<'p> {
     /// Rebuilds a paused run from [`ExecRun::save_state`] output. `sim`
     /// and `plan` must be the configuration the state was saved under
-    /// (the checkpoint cache key guarantees this; a mismatched machine
-    /// shape is also caught here as an error). The restored queue is
-    /// freshly built for `sim`'s backend and replays the saved pop
-    /// order exactly, so a checkpoint taken under one backend resumes
-    /// bit-identically under any other.
+    /// (the checkpoint key guarantees this; a mismatched machine shape,
+    /// an event or recovery entry naming a node the machine lacks, or a
+    /// multi-query control event is also caught here as an error). The
+    /// restored queue is freshly built for `sim`'s backend and replays
+    /// the saved pop order exactly, so a checkpoint taken under one
+    /// backend resumes bit-identically under the other.
     pub fn load_state(
         sim: &Simulation,
         plan: &'p TaskPlan,
@@ -1782,46 +1705,44 @@ impl<'p> ExecRun<'p> {
         let mut run = ExecRun::start_inner(sim, plan, false);
         run.clock = SimTime::from_nanos(r.num("clock_ns")?);
         run.events = r.num("events")?;
-        run.aborted = r.num::<u8>("aborted")? != 0;
+        run.aborted = r.flag("aborted")?;
         run.phase_ix = r.num("phase_ix")?;
-        run.done = r.num::<u8>("done")? != 0;
+        run.done = r.flag("done")?;
         if run.phase_ix > plan.phases.len() {
             return Err(StateError::new("phase cursor out of range"));
         }
         run.machine.load_state(r)?;
         run.fr.load_state(r)?;
-        let nphases: usize = r.num("phases_done")?;
-        if nphases > plan.phases.len() {
+        run.phases = r.counted("phases_done", PhaseReport::load_state)?;
+        if run.phases.len() > plan.phases.len() {
             return Err(StateError::new("finished-phase count out of range"));
         }
-        run.phases.clear();
-        for _ in 0..nphases {
-            run.phases.push(load_phase_report(r)?);
-        }
-        let midphase = r.num::<u8>("midphase")? != 0;
-        if midphase {
+        if r.flag("midphase")? {
             if run.phase_ix >= plan.phases.len() {
                 return Err(StateError::new("mid-phase state past the last phase"));
             }
             let phase = &plan.phases[run.phase_ix];
-            let pending = match r.num::<u8>("pending")? {
-                0 => None,
-                1 => Some(parse_timed_ev(r.field("pending_ev")?)?),
-                _ => return Err(StateError::new("pending: expected 0 or 1")),
+            let n = run.machine.nodes();
+            let pending = if r.flag("pending")? {
+                let (t, ev) = parse_timed_ev(r.field("pending_ev")?)?;
+                check_solo_ev(&ev, n)?;
+                Some((t, ev))
+            } else {
+                None
             };
             let popped: u64 = r.num("q_popped")?;
             let last_popped = SimTime::from_nanos(r.num("q_last_ns")?);
-            let qlen: usize = r.num("q_len")?;
-            let mut events = Vec::with_capacity(qlen);
-            for _ in 0..qlen {
-                events.push(parse_timed_ev(r.field("qe")?)?);
-            }
-            let n = run.machine.nodes();
+            let events = r.counted("q_len", |r| {
+                let (t, ev) = parse_timed_ev(r.field("qe")?)?;
+                check_solo_ev(&ev, n)?;
+                if t < last_popped {
+                    return Err(StateError::new("queued event behind the clock"));
+                }
+                Ok((t, ev))
+            })?;
             let window = run.machine.window() as u64;
             let mut q: EventQueue<Ev> =
                 EventQueue::with_backend_capacity(sim.queue_backend, n * (window as usize + 4));
-            q.set_shard_fn(shard_of_ev);
-            q.set_lookahead(run.machine.lookahead_bound());
             q.load_snapshot(QueueSnapshot {
                 events,
                 popped,
@@ -1839,7 +1760,7 @@ impl<'p> ExecRun<'p> {
             let mut nodes = Vec::with_capacity(n);
             let mut stored = Vec::new();
             for _ in 0..n {
-                let (st, credits) = load_node_state(r, sched.is_some())?;
+                let (st, credits) = load_node_state(r, sched.is_some(), n)?;
                 if let Some(credits) = credits {
                     if credits.len() != n {
                         return Err(StateError::new("dst_credits: expected one credit per node"));
@@ -1885,12 +1806,12 @@ impl FaultRt {
         w.field("fr_rr", self.rr);
         w.field("fr_rng", self.rng.state());
         w.field("fr_injected", self.injected);
-        w.field("fr_abort_set", u8::from(self.abort_at.is_some()));
+        w.flag("fr_abort_set", self.abort_at.is_some());
         w.field(
             "fr_abort_ns",
             self.abort_at.unwrap_or(SimTime::ZERO).as_nanos(),
         );
-        w.field("fr_any_dead", u8::from(self.any_dead));
+        w.flag("fr_any_dead", self.any_dead);
     }
 
     /// Restores runtime state into a `FaultRt` freshly built from the
@@ -1906,22 +1827,20 @@ impl FaultRt {
             return Err(StateError::new("detected-flag count mismatch"));
         }
         self.detected = det.iter().map(|&b| b != 0).collect();
-        let npool: usize = r.num("fr_pool")?;
-        self.pool.clear();
-        for _ in 0..npool {
-            let ent: Vec<u64> = r.nums("fr_poolent")?;
-            if ent.len() != 2 {
-                return Err(StateError::new("fr_poolent: expected `<origin> <bytes>`"));
-            }
-            self.pool.push((ent[0] as usize, ent[1]));
-        }
+        let nodes = self.detected.len();
+        self.pool = r.counted("fr_pool", |r| match r.nums::<u64>("fr_poolent")?[..] {
+            [origin, bytes] if origin < nodes as u64 => Ok((origin as usize, bytes)),
+            _ => Err(StateError::new(
+                "fr_poolent: expected `<origin node> <bytes>`",
+            )),
+        })?;
         self.rr = r.num("fr_rr")?;
         self.rng = SplitMix64::new(r.num("fr_rng")?);
         self.injected = r.num("fr_injected")?;
-        let abort_set = r.num::<u8>("fr_abort_set")? != 0;
+        let abort_set = r.flag("fr_abort_set")?;
         let abort_ns: u64 = r.num("fr_abort_ns")?;
         self.abort_at = abort_set.then(|| SimTime::from_nanos(abort_ns));
-        self.any_dead = r.num::<u8>("fr_any_dead")? != 0;
+        self.any_dead = r.flag("fr_any_dead")?;
         Ok(())
     }
 }
@@ -2065,6 +1984,27 @@ fn parse_timed_ev(s: &str) -> Result<(SimTime, Ev), StateError> {
     Ok((SimTime::from_nanos(ns), decode_ev(rest)?))
 }
 
+/// Checks an event restored into a single-query run: a work event on
+/// query lane 0 (control events belong to the multi-query executor)
+/// whose nodes exist on the `n`-node machine.
+fn check_solo_ev(ev: &Ev, n: usize) -> Result<(), StateError> {
+    if ev.work_query() != Some(0) {
+        return Err(StateError::new("event is not single-query work"));
+    }
+    let nodes = match *ev {
+        Ev::BatchRead { node, .. }
+        | Ev::BatchProcessed { node, .. }
+        | Ev::RecvProcessed { node, .. }
+        | Ev::RecoveryKick { node, .. } => [node, node],
+        Ev::PeerArrive { src, dst, .. } => [src, dst],
+        _ => [0, 0],
+    };
+    if nodes.iter().any(|&i| i >= n) {
+        return Err(StateError::new("event addresses a node the machine lacks"));
+    }
+    Ok(())
+}
+
 /// Writes one node's phase progress. On a skewed shuffle the node's
 /// position in the phase schedule is stored as `dst_credits`, the credit
 /// vector a per-node picker would hold there, so the format does not
@@ -2094,7 +2034,7 @@ fn save_node_state(st: &NodeState, dst_credits: Option<&[f64]>, w: &mut StateWri
             st.frontend_credit.to_bits(),
         ],
     );
-    w.field("has_dst_credits", u8::from(dst_credits.is_some()));
+    w.flag("has_dst_credits", dst_credits.is_some());
     if let Some(c) = dst_credits {
         w.list("dst_credits", c.iter().map(|f| f.to_bits()));
     }
@@ -2113,36 +2053,39 @@ fn max_dst_picks(st: &NodeState, phase: &PhasePlan, n: usize) -> usize {
     usize::try_from(batches.saturating_mul(per_batch)).unwrap_or(usize::MAX)
 }
 
-/// Reads one node's phase progress, plus its stored weighted-fair
-/// credits (present exactly when the phase is `weighted`; the caller
-/// maps them back to a pick count).
+/// Reads one node's phase progress on an `n`-node machine, plus its
+/// stored weighted-fair credits (present exactly when the phase is
+/// `weighted`; the caller maps them back to a pick count).
 fn load_node_state(
     r: &mut StateReader<'_>,
     weighted: bool,
+    n: usize,
 ) -> Result<(NodeState, Option<Vec<f64>>), StateError> {
     let v: Vec<u64> = r.nums("nstate")?;
     if v.len() != 10 {
         return Err(StateError::new("nstate: expected 10 fields"));
+    }
+    if v[9] >= n as u64 {
+        return Err(StateError::new("nstate: next destination is not a node"));
     }
     let recovery_pending: Vec<u64> = r.nums("recovery_pending")?;
     let credits: Vec<u64> = r.nums("credits")?;
     if credits.len() != 3 {
         return Err(StateError::new("credits: expected 3 fields"));
     }
-    let dst_credits = match (r.num::<u8>("has_dst_credits")?, weighted) {
-        (0, false) => None,
-        (1, true) => Some(
+    let dst_credits = match (r.flag("has_dst_credits")?, weighted) {
+        (false, false) => None,
+        (true, true) => Some(
             r.nums::<u64>("dst_credits")?
                 .into_iter()
                 .map(f64::from_bits)
                 .collect(),
         ),
-        (0 | 1, _) => {
+        _ => {
             return Err(StateError::new(
                 "has_dst_credits: disagrees with the phase's shuffle weights",
             ))
         }
-        _ => return Err(StateError::new("has_dst_credits: expected 0 or 1")),
     };
     let st = NodeState {
         bytes_total: v[0],
@@ -2162,113 +2105,6 @@ fn load_node_state(
         frontend_credit: f64::from_bits(credits[2]),
     };
     Ok((st, dst_credits))
-}
-
-fn save_tag_map(map: &BTreeMap<&'static str, Duration>, w: &mut StateWriter) {
-    w.field("tags", map.len());
-    for (tag, d) in map {
-        // Nanoseconds first: the tag is the rest of the line, so names
-        // with spaces survive the round trip.
-        w.str_field("tag", &format!("{} {}", d.as_nanos(), tag));
-    }
-}
-
-fn load_tag_map(r: &mut StateReader<'_>) -> Result<BTreeMap<&'static str, Duration>, StateError> {
-    let ntags: usize = r.num("tags")?;
-    let mut map = BTreeMap::new();
-    for _ in 0..ntags {
-        let rest = r.field("tag")?;
-        let (ns, tag) = rest
-            .split_once(' ')
-            .ok_or_else(|| StateError::new("tag: expected `<ns> <name>`"))?;
-        let ns: u64 = ns
-            .parse()
-            .map_err(|_| StateError::new("tag: bad nanoseconds"))?;
-        map.insert(crate::manifest::intern(tag), Duration::from_nanos(ns));
-    }
-    Ok(map)
-}
-
-fn save_resources(resources: &[ResourceUsage], w: &mut StateWriter) {
-    w.field("resources", resources.len());
-    for u in resources {
-        w.str_field(
-            "res",
-            &format!(
-                "{} {} {} {}",
-                u.resource.key(),
-                u.busy.as_nanos(),
-                u.wait.as_nanos(),
-                u.lanes
-            ),
-        );
-    }
-}
-
-fn load_resources(r: &mut StateReader<'_>) -> Result<Vec<ResourceUsage>, StateError> {
-    let nres: usize = r.num("resources")?;
-    let mut resources = Vec::with_capacity(nres);
-    for _ in 0..nres {
-        let rest = r.field("res")?;
-        let mut parts = rest.split_whitespace();
-        let key = parts
-            .next()
-            .ok_or_else(|| StateError::new("res: missing resource key"))?;
-        let resource = Resource::from_key(key)
-            .ok_or_else(|| StateError::new(format!("res: unknown resource `{key}`")))?;
-        let mut num = |what: &str| -> Result<u64, StateError> {
-            parts
-                .next()
-                .ok_or_else(|| StateError::new(format!("res: missing {what}")))?
-                .parse()
-                .map_err(|_| StateError::new(format!("res: bad {what}")))
-        };
-        let busy = Duration::from_nanos(num("busy time")?);
-        let wait = Duration::from_nanos(num("wait time")?);
-        let lanes = num("lanes")? as u32;
-        resources.push(ResourceUsage {
-            resource,
-            busy,
-            wait,
-            lanes,
-        });
-    }
-    Ok(resources)
-}
-
-fn save_phase_report(p: &PhaseReport, w: &mut StateWriter) {
-    w.str_field("phase", p.name);
-    w.field("elapsed_ns", p.elapsed.as_nanos());
-    w.field("cpu_busy_ns", p.cpu_busy_total.as_nanos());
-    w.field("disk_busy_ns", p.disk_busy_total.as_nanos());
-    w.field("interconnect_bytes", p.interconnect_bytes);
-    w.field("frontend_bytes", p.frontend_bytes);
-    w.field("nodes", p.nodes);
-    save_tag_map(&p.cpu_busy_by_tag, w);
-    save_resources(&p.resources, w);
-}
-
-fn load_phase_report(r: &mut StateReader<'_>) -> Result<PhaseReport, StateError> {
-    let name = crate::manifest::intern(r.field("phase")?);
-    let elapsed = Duration::from_nanos(r.num("elapsed_ns")?);
-    let cpu_busy_total = Duration::from_nanos(r.num("cpu_busy_ns")?);
-    let disk_busy_total = Duration::from_nanos(r.num("disk_busy_ns")?);
-    let interconnect_bytes: u64 = r.num("interconnect_bytes")?;
-    let frontend_bytes: u64 = r.num("frontend_bytes")?;
-    let nodes: usize = r.num("nodes")?;
-    let cpu_busy_by_tag = load_tag_map(r)?;
-    let resources = load_resources(r)?;
-    Ok(PhaseReport {
-        name,
-        elapsed,
-        cpu_busy_by_tag,
-        cpu_busy_total,
-        disk_busy_total,
-        interconnect_bytes,
-        frontend_bytes,
-        nodes,
-        resources,
-    })
 }
 
 /// Per-phase execution context threaded into [`handle_ev`]: the plan,
@@ -3164,24 +3000,14 @@ mod tests {
             (Architecture::cluster(4), TaskKind::Join),
             (Architecture::smp(4), TaskKind::DataMine),
         ];
-        let backends = [
-            QueueBackend::BinaryHeap,
-            QueueBackend::ShardedWheel { shards: 1 },
-            QueueBackend::ShardedWheel { shards: 4 },
-        ];
         for (arch, task) in cases {
             let wheel = Simulation::new(arch.clone())
                 .with_queue_backend(QueueBackend::CalendarWheel)
                 .run(task);
-            for backend in backends {
-                let other = Simulation::new(arch.clone())
-                    .with_queue_backend(backend)
-                    .run(task);
-                assert_eq!(
-                    wheel, other,
-                    "{task:?}/{backend:?}: backends must agree field-for-field"
-                );
-            }
+            let heap = Simulation::new(arch.clone())
+                .with_queue_backend(QueueBackend::BinaryHeap)
+                .run(task);
+            assert_eq!(wheel, heap, "{task:?}: backends must agree field-for-field");
         }
     }
 
@@ -3215,7 +3041,9 @@ mod tests {
     fn traced_run_matches_untraced_run() {
         let sim = Simulation::new(Architecture::active_disks(8));
         let plain = sim.run(TaskKind::GroupBy);
-        let (traced, trace) = sim.run_traced(TaskKind::GroupBy);
+        let plan = plan_task(TaskKind::GroupBy, sim.architecture());
+        let mut trace = Trace::new();
+        let (traced, _) = sim.run_plan_observed(&plan, Some(&mut trace), None, false);
         assert_eq!(plain, traced, "tracing must not perturb the simulation");
         assert!(trace.total() > 0);
         // Every read produced a processed event.
@@ -3233,7 +3061,9 @@ mod tests {
     #[test]
     fn trace_counts_shuffle_arrivals() {
         let sim = Simulation::new(Architecture::active_disks(8));
-        let (_, trace) = sim.run_traced(TaskKind::Sort);
+        let plan = plan_task(TaskKind::Sort, sim.architecture());
+        let mut trace = Trace::new();
+        sim.run_plan_observed(&plan, Some(&mut trace), None, false);
         // Sort repartitions everything: arrivals ~= 16 GB / 256 KB.
         let arrivals = trace.count(crate::trace::TraceKind::PeerArrive);
         let expected = 16_000_000_000 / super::BATCH_BYTES;

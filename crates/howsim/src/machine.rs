@@ -269,22 +269,6 @@ impl Machine {
         self.nodes
     }
 
-    /// Conservative lookahead bound for partitioned event scheduling:
-    /// the minimum latency any cross-node interaction pays on this
-    /// machine's interconnect. An event one node schedules on another is
-    /// always at least this far in the future, which bounds how far
-    /// independent scheduler shards could run ahead of each other.
-    pub fn lookahead_bound(&self) -> Duration {
-        match &self.fabric {
-            Fabric::Active { fc, .. } => match fc {
-                ActiveWire::Loop(fc) => fc.arbitration(),
-                ActiveWire::Switch(sw) => sw.switch_latency(),
-            },
-            Fabric::Cluster { net, .. } => net.min_link_latency(),
-            Fabric::Smp { mem, .. } => mem.link_latency(),
-        }
-    }
-
     /// The pipeline window (in-flight batches) per node.
     pub fn window(&self) -> usize {
         self.window

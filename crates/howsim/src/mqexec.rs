@@ -54,13 +54,12 @@ use tasks::plan::TaskPlan;
 use tasks::{plan_task, TaskKind};
 
 use crate::exec::{
-    handle_ev, init_phase_nodes, phase_region, phase_writes, prepare_read, shard_of_ev,
-    DstSchedule, Ev, EvQ, FaultRt, NodeState, PhaseCosts, PhaseCtx, Simulation, SpanRt,
-    BARRIER_RESOURCE, POSITIONING_RESOURCE,
+    handle_ev, init_phase_nodes, phase_region, phase_writes, prepare_read, DstSchedule, Ev, EvQ,
+    FaultRt, NodeState, PhaseCosts, PhaseCtx, Simulation, SpanRt, BARRIER_RESOURCE,
+    POSITIONING_RESOURCE,
 };
 use crate::faults::{FaultPlan, RecoveryPolicy, DETECT_TIMEOUT};
 use crate::machine::Machine;
-use crate::metrics::MetricsBuilder;
 use crate::profile::{LoadSpanTrace, PhaseSpans, QuerySpans};
 use crate::workload::{AdmissionPolicy, ArrivalProcess, DeadlinePolicy, WorkloadSpec};
 
@@ -318,10 +317,6 @@ struct Mq {
     closed: bool,
     backoff_rng: SplitMix64,
     spans: Option<SpanRt>,
-    /// Popped-but-unprocessed event stashed by a paused [`Mq::step`]
-    /// (already counted by `q.popped()`, so resumed event totals match
-    /// an uninterrupted run).
-    pending: Option<(SimTime, Ev)>,
     /// Time of the last processed event — the fork origin.
     clock: SimTime,
     /// Set by a global fail-stop abort: every query is terminal and the
@@ -330,25 +325,13 @@ struct Mq {
 }
 
 impl Mq {
-    fn run_loop(&mut self, metrics: &mut Option<&mut MetricsBuilder>) {
-        self.step(None, metrics);
-    }
-
-    /// Processes events strictly before `limit` (all of them when
-    /// `limit` is `None`). Returns `false` when paused at the limit with
-    /// the boundary event stashed in `self.pending`, `true` when the
-    /// queue drained.
-    fn step(&mut self, limit: Option<SimTime>, metrics: &mut Option<&mut MetricsBuilder>) -> bool {
+    /// Processes every queued event and its consequences until the
+    /// queue drains.
+    fn run_to_idle(&mut self) {
         if self.halted {
-            return true;
+            return;
         }
-        while let Some((now, ev)) = self.pending.take().or_else(|| self.q.pop()) {
-            if let Some(l) = limit {
-                if now >= l {
-                    self.pending = Some((now, ev));
-                    return false;
-                }
-            }
+        while let Some((now, ev)) = self.q.pop() {
             self.clock = now;
             if self.fs.pending() {
                 self.apply_global_faults(now);
@@ -356,12 +339,7 @@ impl Mq {
             if let Some(abort) = self.fs.abort_at {
                 if now >= abort {
                     self.abort_all(abort);
-                    return true;
-                }
-            }
-            if let Some(mb) = metrics.as_deref_mut() {
-                if mb.due(now) {
-                    mb.sample(now, &self.machine.resource_usage(), self.q.len());
+                    return;
                 }
             }
             match ev {
@@ -383,7 +361,6 @@ impl Mq {
             self.runs.iter().all(|r| r.state == QState::Done),
             "event queue drained with live queries"
         );
-        true
     }
 
     /// Applies globally-scheduled faults due at or before `now` to the
@@ -834,7 +811,7 @@ impl Simulation {
         admission: AdmissionPolicy,
         deadline: DeadlinePolicy,
     ) -> LoadReport {
-        self.run_workload_observed(workload, admission, deadline, None, false)
+        self.run_workload_observed(workload, admission, deadline, false)
             .0
     }
 
@@ -846,22 +823,21 @@ impl Simulation {
         admission: AdmissionPolicy,
         deadline: DeadlinePolicy,
     ) -> (LoadReport, LoadSpanTrace) {
-        let (report, trace) = self.run_workload_observed(workload, admission, deadline, None, true);
+        let (report, trace) = self.run_workload_observed(workload, admission, deadline, true);
         (report, trace.expect("profiled run returns a span trace"))
     }
 
-    /// Full-control loaded run: optional metrics sampling and optional
-    /// span profiling in one pass.
-    pub fn run_workload_observed(
+    /// The loaded run behind [`Simulation::run_workload`] and
+    /// [`Simulation::run_workload_profiled`].
+    fn run_workload_observed(
         &self,
         workload: &WorkloadSpec,
         admission: AdmissionPolicy,
         deadline: DeadlinePolicy,
-        mut metrics: Option<&mut MetricsBuilder>,
         profiled: bool,
     ) -> (LoadReport, Option<LoadSpanTrace>) {
         let mut mq = self.mq_setup(workload, admission, deadline, profiled);
-        mq.run_loop(&mut metrics);
+        mq.run_to_idle();
         self.collect_load(mq, workload.summary(), admission, deadline)
     }
 
@@ -905,9 +881,7 @@ impl Simulation {
         // node plus its fan-out, and each query owns at most one control
         // event of each kind.
         let cap = admission.max_concurrent * n * (window + 4) + 2 * tasks.len() + 64;
-        let mut q: EventQueue<Ev> = EventQueue::with_backend_capacity(self.queue_backend(), cap);
-        q.set_shard_fn(shard_of_ev);
-        q.set_lookahead(machine.lookahead_bound());
+        let q: EventQueue<Ev> = EventQueue::with_backend_capacity(self.queue_backend(), cap);
 
         let runs: Vec<QueryRun> = tasks
             .iter()
@@ -961,7 +935,6 @@ impl Simulation {
             // seeded models without a second seed knob.
             backoff_rng: SplitMix64::new(self.seed() ^ 0x9E37_79B9_7F4A_7C15),
             spans: profiled.then(SpanRt::new),
-            pending: None,
             clock: SimTime::ZERO,
             halted: false,
         };
@@ -1089,7 +1062,7 @@ impl WarmStart {
     /// Drains every queued arrival and its consequences — the warmup
     /// segment runs to completion and the clock parks at its last event.
     pub fn run_to_idle(&mut self) {
-        self.mq.step(None, &mut None);
+        self.mq.run_to_idle();
     }
 
     /// The fork origin: the time of the last processed event. Extended
@@ -1209,7 +1182,7 @@ impl WarmStart {
     /// slice `outcomes` at [`WarmStart::measured_from`] for the measured
     /// segment).
     pub fn finish(mut self) -> LoadReport {
-        self.mq.step(None, &mut None);
+        self.mq.run_to_idle();
         let (report, _) =
             self.sim
                 .collect_load(self.mq, self.workload, self.admission, self.deadline);

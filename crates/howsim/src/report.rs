@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use simcore::state::{intern, StateError, StateReader, StateWriter};
 use simcore::{Duration, Histogram};
 
 use crate::metrics::{Resource, ResourceUsage};
@@ -161,6 +162,100 @@ impl fmt::Display for Report {
             self.phases.len()
         )
     }
+}
+
+/// The phase codec shared by `.report` cache entries (every phase) and
+/// checkpoints (the phases finished before the pause).
+impl PhaseReport {
+    pub(crate) fn save_state(&self, w: &mut StateWriter) {
+        w.str_field("phase", self.name);
+        w.field("elapsed_ns", self.elapsed.as_nanos());
+        w.field("cpu_busy_ns", self.cpu_busy_total.as_nanos());
+        w.field("disk_busy_ns", self.disk_busy_total.as_nanos());
+        w.field("interconnect_bytes", self.interconnect_bytes);
+        w.field("frontend_bytes", self.frontend_bytes);
+        w.field("nodes", self.nodes);
+        save_tag_map(&self.cpu_busy_by_tag, w);
+        save_resources(&self.resources, w);
+    }
+
+    pub(crate) fn load_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
+        Ok(PhaseReport {
+            name: intern(r.field("phase")?),
+            elapsed: Duration::from_nanos(r.num("elapsed_ns")?),
+            cpu_busy_total: Duration::from_nanos(r.num("cpu_busy_ns")?),
+            disk_busy_total: Duration::from_nanos(r.num("disk_busy_ns")?),
+            interconnect_bytes: r.num("interconnect_bytes")?,
+            frontend_bytes: r.num("frontend_bytes")?,
+            nodes: r.num("nodes")?,
+            cpu_busy_by_tag: load_tag_map(r)?,
+            resources: load_resources(r)?,
+        })
+    }
+}
+
+/// Writes per-tag CPU time as `tags n`, then one `tag <ns> <name>` line
+/// per tag in key order.
+pub(crate) fn save_tag_map(map: &BTreeMap<&'static str, Duration>, w: &mut StateWriter) {
+    w.field("tags", map.len());
+    for (tag, d) in map {
+        w.named("tag", d.as_nanos(), tag);
+    }
+}
+
+pub(crate) fn load_tag_map(
+    r: &mut StateReader<'_>,
+) -> Result<BTreeMap<&'static str, Duration>, StateError> {
+    let tags = r.counted("tags", |r| {
+        let (ns, tag) = r.named("tag")?;
+        Ok((intern(tag), Duration::from_nanos(ns)))
+    })?;
+    Ok(tags.into_iter().collect())
+}
+
+/// Writes per-resource usage as `resources n`, then one
+/// `res <resource> <busy_ns> <wait_ns> <lanes>` line per resource.
+pub(crate) fn save_resources(resources: &[ResourceUsage], w: &mut StateWriter) {
+    w.field("resources", resources.len());
+    for u in resources {
+        w.str_field(
+            "res",
+            &format!(
+                "{} {} {} {}",
+                u.resource.key(),
+                u.busy.as_nanos(),
+                u.wait.as_nanos(),
+                u.lanes
+            ),
+        );
+    }
+}
+
+pub(crate) fn load_resources(r: &mut StateReader<'_>) -> Result<Vec<ResourceUsage>, StateError> {
+    r.counted("resources", |r| {
+        let raw = r.field("res")?;
+        let bad = || {
+            StateError::new(format!(
+                "res: expected `<resource> <busy> <wait> <lanes>`, got {raw:?}"
+            ))
+        };
+        let mut parts = raw.split(' ');
+        let (Some(key), Some(busy), Some(wait), Some(lanes), None) = (
+            parts.next(),
+            parts.next(),
+            parts.next(),
+            parts.next(),
+            parts.next(),
+        ) else {
+            return Err(bad());
+        };
+        Ok(ResourceUsage {
+            resource: Resource::from_key(key).ok_or_else(bad)?,
+            busy: Duration::from_nanos(busy.parse().map_err(|_| bad())?),
+            wait: Duration::from_nanos(wait.parse().map_err(|_| bad())?),
+            lanes: lanes.parse().map_err(|_| bad())?,
+        })
+    })
 }
 
 #[cfg(test)]

@@ -138,11 +138,13 @@ impl fmt::Display for TraceSummary {
 ///
 /// ```
 /// use arch::Architecture;
-/// use howsim::{Simulation, TraceKind};
-/// use tasks::TaskKind;
+/// use howsim::{Simulation, Trace, TraceKind};
+/// use tasks::{plan_task, TaskKind};
 ///
-/// let (report, trace) = Simulation::new(Architecture::active_disks(4))
-///     .run_traced(TaskKind::Aggregate);
+/// let sim = Simulation::new(Architecture::active_disks(4));
+/// let plan = plan_task(TaskKind::Aggregate, sim.architecture());
+/// let mut trace = Trace::new();
+/// let (report, _) = sim.run_plan_observed(&plan, Some(&mut trace), None, false);
 /// assert!(trace.count(TraceKind::ReadDone) > 0);
 /// assert!(!trace.truncated());
 /// assert!(report.elapsed().as_secs_f64() > 0.0);

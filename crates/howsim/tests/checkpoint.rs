@@ -1,24 +1,20 @@
 //! Checkpoint differential tests: snapshot a run mid-flight, restore it
-//! (under any queue backend), run to completion, and the report — and its
-//! serialized manifest — is byte-identical to simulating from scratch.
+//! (under either queue backend), run to completion, and the report — and
+//! its serialized manifest — is byte-identical to simulating from scratch.
 
 use arch::Architecture;
 use datagen::zipf::Zipf;
 use howsim::faults::{FaultPlan, RecoveryPolicy};
-use howsim::manifest::{fnv1a64, RunManifest};
+use howsim::manifest::RunManifest;
 use howsim::{checkpoint, Simulation};
 use proptest::prelude::*;
+use simcore::state::{open, seal};
 use simcore::{Duration, QueueBackend, SimTime};
 use tasks::planner::apply_shuffle_skew;
 use tasks::{CpuWork, PhasePlan, TaskKind, TaskPlan};
 
 /// Every event-queue backend a checkpoint must restore under.
-const BACKENDS: [QueueBackend; 4] = [
-    QueueBackend::CalendarWheel,
-    QueueBackend::BinaryHeap,
-    QueueBackend::ShardedWheel { shards: 2 },
-    QueueBackend::ShardedWheel { shards: 8 },
-];
+const BACKENDS: [QueueBackend; 2] = [QueueBackend::CalendarWheel, QueueBackend::BinaryHeap];
 
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("howsim-ckpt-it-{}-{name}.ckpt", std::process::id()))
@@ -116,9 +112,9 @@ fn skewed_join_checkpoints_and_forks_match_scratch() {
         checkpoint::write_file(&path, &sim, &plan, at, &run).unwrap();
         let saved = std::fs::read_to_string(&path).unwrap();
         let restored = checkpoint::read_file(&path, &sim, &plan).expect("valid checkpoint");
-        let key = checkpoint::checkpoint_key(&sim, &plan, at);
+        checkpoint::write_file(&path, &sim, &plan, at, &restored).unwrap();
         assert_eq!(
-            checkpoint::encode(&restored, &key),
+            std::fs::read_to_string(&path).unwrap(),
             saved,
             "save -> load -> save at {pct}% is byte-identical"
         );
@@ -142,18 +138,12 @@ fn skewed_join_checkpoints_and_forks_match_scratch() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Re-armors an edited checkpoint payload with a fresh checksum, so
-/// only the state codec stands between the edit and the resumed run.
+/// Re-armors an edited checkpoint body with a fresh checksum, so only
+/// the state codec stands between the edit and the resumed run.
 fn rechecksum(text: &str, edit: impl FnOnce(Vec<String>) -> Vec<String>) -> String {
-    let mut lines = text.lines();
-    let schema = lines.next().unwrap();
-    let _sum = lines.next().unwrap();
-    let payload: Vec<String> = lines.map(str::to_string).collect();
-    let payload = edit(payload).join("\n") + "\n";
-    format!(
-        "{schema}\nsum {:016x}\n{payload}",
-        fnv1a64(payload.as_bytes())
-    )
+    let (key, body) = open(checkpoint::SCHEMA, text).expect("valid checkpoint");
+    let lines = edit(body.lines().map(str::to_string).collect());
+    seal(checkpoint::SCHEMA, key, &(lines.join("\n") + "\n"))
 }
 
 /// Rewrites the first line starting with `prefix` (a node's state).
@@ -284,8 +274,8 @@ proptest! {
         nodes in 1usize..6,
         arch_ix in 0usize..3,
         pause_frac in 0.0f64..1.05,
-        save_backend in 0usize..4,
-        load_backend in 0usize..4,
+        save_backend in 0usize..2,
+        load_backend in 0usize..2,
     ) {
         let mut phase = PhasePlan::new("random", read_mb << 20);
         phase.read_cpu = vec![CpuWork { tag: "work", ns_per_byte: cpu_ns }];

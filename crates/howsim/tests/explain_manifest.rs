@@ -17,7 +17,7 @@ fn identical_runs_produce_byte_identical_manifests() {
         let plan = tasks::plan_task(TaskKind::Join, &arch);
         let mut trace = Trace::new();
         let mut metrics = MetricsBuilder::new();
-        let report = sim.run_plan_instrumented(&plan, Some(&mut trace), Some(&mut metrics));
+        let (report, _) = sim.run_plan_observed(&plan, Some(&mut trace), Some(&mut metrics), false);
         RunManifest::new(&arch, &report)
             .with_seed(42)
             .with_metrics(metrics.finish(report.events))
@@ -69,7 +69,7 @@ fn instrumented_run_collects_utilization_series() {
     let sim = Simulation::new(arch.clone());
     let plan = tasks::plan_task(TaskKind::Select, &arch);
     let mut metrics = MetricsBuilder::new();
-    let report = sim.run_plan_instrumented(&plan, None, Some(&mut metrics));
+    let (report, _) = sim.run_plan_observed(&plan, None, Some(&mut metrics), false);
     let m = metrics.finish(report.events);
     assert_eq!(m.events, report.events);
     assert!(report.events > 0);
@@ -95,6 +95,6 @@ fn metrics_collection_is_result_invariant() {
     let sim = Simulation::new(arch.clone());
     let plan = tasks::plan_task(TaskKind::Sort, &arch);
     let mut metrics = MetricsBuilder::new();
-    let instrumented = sim.run_plan_instrumented(&plan, None, Some(&mut metrics));
+    let (instrumented, _) = sim.run_plan_observed(&plan, None, Some(&mut metrics), false);
     assert_eq!(plain, instrumented);
 }

@@ -92,22 +92,6 @@ impl ClusterFabric {
         host / HOSTS_PER_SWITCH
     }
 
-    /// The minimum startup latency of any link in the fabric: a
-    /// conservative lookahead bound for partitioned event scheduling (no
-    /// cross-host event can land sooner than this after its send).
-    pub fn min_link_latency(&self) -> Duration {
-        self.nic_tx
-            .iter()
-            .chain(self.nic_rx.iter())
-            .chain(self.uplink_tx.iter())
-            .chain(self.uplink_rx.iter())
-            .map(Link::latency)
-            .fold(None, |acc: Option<Duration>, l| {
-                Some(acc.map_or(l, |a| a.min(l)))
-            })
-            .unwrap_or(Duration::ZERO)
-    }
-
     /// Sends `bytes` from `src` to `dst`; returns delivery time.
     ///
     /// Same-switch traffic crosses only the two NICs (the edge switch

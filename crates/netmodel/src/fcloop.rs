@@ -117,12 +117,6 @@ impl FcLoop {
         grant.end
     }
 
-    /// Arbitration overhead per tenancy: the conservative lookahead
-    /// bound for partitioned event scheduling on this interconnect.
-    pub fn arbitration(&self) -> Duration {
-        self.arbitration
-    }
-
     /// Aggregate nominal bandwidth across loops.
     pub fn aggregate_bandwidth(&self) -> Bandwidth {
         Bandwidth::from_bytes_per_sec(self.per_loop.bytes_per_sec() * self.loops.len() as f64)

@@ -94,12 +94,6 @@ impl FcSwitchFabric {
         self.tx.len()
     }
 
-    /// Core switch forwarding latency: the conservative lookahead bound
-    /// for partitioned event scheduling across segments.
-    pub fn switch_latency(&self) -> Duration {
-        self.switch_latency
-    }
-
     /// Total devices the fabric addresses.
     pub fn devices(&self) -> usize {
         self.segments() * self.devices_per_segment

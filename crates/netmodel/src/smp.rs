@@ -57,12 +57,6 @@ impl SmpFabric {
         self.boards
     }
 
-    /// Cross-board link latency: the conservative lookahead bound for
-    /// partitioned event scheduling on this fabric.
-    pub fn link_latency(&self) -> Duration {
-        self.link_latency
-    }
-
     /// One-way block transfer (shmemput-style) of `bytes` from `src_board`
     /// to `dst_board`. Same-board transfers are plain memory copies at the
     /// block-engine rate without the link latency.

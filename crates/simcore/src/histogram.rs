@@ -138,14 +138,18 @@ impl Histogram {
 
     /// Reconstructs a histogram from its raw state (the inverse of
     /// reading [`Histogram::bucket_counts`], [`Histogram::total`], and
-    /// [`Histogram::max`]); the sample count is the bucket sum.
-    pub fn from_raw(buckets: [u64; 64], total: Duration, max: Duration) -> Self {
-        Histogram {
+    /// [`Histogram::max`]); the sample count is the bucket sum. `None`
+    /// when that sum overflows `u64`, which no recorded histogram reaches.
+    pub fn from_raw(buckets: [u64; 64], total: Duration, max: Duration) -> Option<Self> {
+        let count = buckets
+            .iter()
+            .try_fold(0u64, |sum, &b| sum.checked_add(b))?;
+        Some(Histogram {
             buckets,
-            count: buckets.iter().sum(),
+            count,
             total,
             max,
-        }
+        })
     }
 
     /// Merges another histogram into this one.
@@ -305,10 +309,14 @@ mod tests {
         for us in [0u64, 1, 3, 900, 12_000, 5_000_000] {
             h.record(Duration::from_micros(us));
         }
-        let back = Histogram::from_raw(*h.bucket_counts(), h.total(), h.max());
+        let back = Histogram::from_raw(*h.bucket_counts(), h.total(), h.max()).unwrap();
         assert_eq!(back, h);
         assert_eq!(back.count(), h.count());
         assert_eq!(back.mean(), h.mean());
+        let mut full = [0u64; 64];
+        full[0] = u64::MAX;
+        full[1] = 1;
+        assert!(Histogram::from_raw(full, Duration::ZERO, Duration::ZERO).is_none());
     }
 
     proptest! {

@@ -97,38 +97,17 @@
 //! event (a deeply queued disk or a saturated interconnect) takes the
 //! overflow heap and migrates back in.
 //!
-//! ## Sharded wheel
-//!
-//! [`QueueBackend::ShardedWheel`] partitions events over `shards`
-//! independent wheels by a caller-supplied key function (the executor
-//! shards by node group; see [`EventQueue::set_shard_fn`]). Sequence
-//! numbers stay global, and pop takes the exact `(time, seq)` argmin
-//! over per-shard cached heads, so the pop sequence — and therefore
-//! every simulation report — is **byte-identical** to the single-wheel
-//! and binary-heap backends for any shard count. The backend also
-//! carries a conservative *lookahead* bound ([`EventQueue::set_lookahead`],
-//! the minimum interconnect link latency): events a shard schedules for
-//! another shard always land at least that far in the future, which is
-//! the window a future multi-core driver may drain shards independently
-//! within. On a single-CPU host the deterministic merge is the
-//! deliverable. With `shards == 1` the backend delegates straight to
-//! its single wheel and the merge machinery costs <3% (in practice it
-//! measures at parity with the plain wheel). With multiple shards the
-//! exact cross-shard argmin requires refreshing a shard's cached head
-//! after every pop, which costs roughly 20–25% single-threaded — the
-//! price of keeping reports byte-identical while exposing the
-//! parallelism window.
-//!
 //! Determinism is unchanged from the classic heap: ties fire in push
 //! order via the per-event sequence number, whatever mixture of
 //! bucket/overflow placements the events took. The reference
-//! [`QueueBackend::BinaryHeap`] backend is kept for differential
-//! testing and benchmarking.
+//! [`QueueBackend::BinaryHeap`] backend is kept as the differential
+//! oracle: the tests, CI's report byte-diffs (`--queue heap`), and the
+//! benchmarks run it against the wheel.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::{Duration, SimTime};
+use crate::time::SimTime;
 
 /// Log2 of the bucket width in nanoseconds (2^19 ns ≈ 524 µs).
 const BUCKET_SHIFT: u32 = 19;
@@ -175,10 +154,9 @@ impl<E> PartialOrd for Scheduled<E> {
 
 /// Which scheduler implementation an [`EventQueue`] runs on.
 ///
-/// All backends produce byte-identical pop sequences; the wheel is the
+/// Both backends produce byte-identical pop sequences; the wheel is the
 /// default, the heap is retained as the differential-testing and
-/// benchmarking reference, and the sharded wheel partitions events for a
-/// future multi-core driver.
+/// benchmarking reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueBackend {
     /// Arena-backed calendar-queue / timing-wheel scheduler (the default).
@@ -186,12 +164,6 @@ pub enum QueueBackend {
     CalendarWheel,
     /// The classic binary-heap scheduler.
     BinaryHeap,
-    /// `shards` independent wheels with a deterministic `(time, seq)`
-    /// cross-shard merge at pop. See the module docs.
-    ShardedWheel {
-        /// Number of wheel partitions (at least 1).
-        shards: usize,
-    },
 }
 
 /// One slot of the arena slab: an event's key and payload plus the
@@ -556,94 +528,11 @@ impl<E> Wheel<E> {
     }
 }
 
-/// The sharded-wheel backend: independent wheels merged at pop by exact
-/// `(time, seq)` argmin over cached per-shard heads.
-#[derive(Debug, Clone)]
-struct Sharded<E> {
-    wheels: Vec<Wheel<E>>,
-    /// `heads[i]` is exactly `wheels[i].peek_key()` at all times: pushes
-    /// min-update it in O(1), pops recompute the popped shard's entry.
-    heads: Vec<Option<(SimTime, u64)>>,
-    shard_of: fn(&E) -> usize,
-    /// Conservative lookahead for a future multi-core driver: cross-shard
-    /// events always land at least this far ahead of the sender's clock
-    /// (the minimum interconnect link latency). Purely descriptive today.
-    lookahead: Duration,
-}
-
-/// Default shard extractor: everything on shard 0.
-fn shard_zero<E>(_: &E) -> usize {
-    0
-}
-
-impl<E> Sharded<E> {
-    fn new(shards: usize, capacity: usize) -> Self {
-        assert!(shards >= 1, "sharded wheel needs at least one shard");
-        // Slot arenas split the capacity hint; every shard keeps the full
-        // horizon, since shards see the same time range as a single wheel.
-        let per = capacity.div_ceil(shards);
-        Sharded {
-            wheels: (0..shards).map(|_| Wheel::new(per)).collect(),
-            heads: vec![None; shards],
-            shard_of: shard_zero::<E>,
-            lookahead: Duration::ZERO,
-        }
-    }
-
-    fn push(&mut self, ev: Scheduled<E>) {
-        // One shard needs no merge bookkeeping: the wheel IS the queue.
-        if self.wheels.len() == 1 {
-            self.wheels[0].push(ev);
-            return;
-        }
-        let i = (self.shard_of)(&ev.payload) % self.wheels.len();
-        let key = (ev.time, ev.seq);
-        self.wheels[i].push(ev);
-        if self.heads[i].is_none_or(|h| key < h) {
-            self.heads[i] = Some(key);
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        if self.wheels.len() == 1 {
-            return self.wheels[0].pop();
-        }
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        for (i, head) in self.heads.iter().enumerate() {
-            if let Some(k) = *head {
-                if best.is_none_or(|(_, bk)| k < bk) {
-                    best = Some((i, k));
-                }
-            }
-        }
-        let (i, _) = best?;
-        let ev = self.wheels[i].pop().expect("cached head exists");
-        self.heads[i] = self.wheels[i].peek_key();
-        Some(ev)
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        if self.wheels.len() == 1 {
-            return self.wheels[0].peek_time();
-        }
-        self.heads.iter().flatten().min().map(|&(t, _)| t)
-    }
-
-    fn len(&self) -> usize {
-        self.wheels.iter().map(Wheel::len).sum()
-    }
-
-    fn capacity(&self) -> usize {
-        self.wheels.iter().map(Wheel::capacity).sum()
-    }
-}
-
 /// The scheduler backing an [`EventQueue`].
 #[derive(Debug, Clone)]
 enum Backend<E> {
     Wheel(Wheel<E>),
     Heap(BinaryHeap<Scheduled<E>>),
-    Sharded(Sharded<E>),
 }
 
 /// A discrete-event queue ordered by simulated time.
@@ -710,7 +599,7 @@ impl<E> EventQueue<E> {
     ///
     /// Event-loop hot paths (one simulation pushes millions of events)
     /// pre-size the queue to its steady-state depth so the backing
-    /// buffers never reallocate mid-run. On the wheel backends the hint
+    /// buffers never reallocate mid-run. On the wheel the hint
     /// pre-reserves only the arena slab and the drain buffer: the bucket
     /// count is fixed at 8192 (a ≈ 4.3 s horizon, see the
     /// module docs), because how far ahead events land depends on the
@@ -725,9 +614,6 @@ impl<E> EventQueue<E> {
         let backend = match backend {
             QueueBackend::CalendarWheel => Backend::Wheel(Wheel::new(capacity)),
             QueueBackend::BinaryHeap => Backend::Heap(BinaryHeap::with_capacity(capacity)),
-            QueueBackend::ShardedWheel { shards } => {
-                Backend::Sharded(Sharded::new(shards, capacity))
-            }
         };
         EventQueue {
             backend,
@@ -737,68 +623,12 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The scheduler backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match &self.backend {
-            Backend::Wheel(_) => QueueBackend::CalendarWheel,
-            Backend::Heap(_) => QueueBackend::BinaryHeap,
-            Backend::Sharded(s) => QueueBackend::ShardedWheel {
-                shards: s.wheels.len(),
-            },
-        }
-    }
-
-    /// Number of shard partitions (1 on the unsharded backends).
-    pub fn shards(&self) -> usize {
-        match &self.backend {
-            Backend::Sharded(s) => s.wheels.len(),
-            _ => 1,
-        }
-    }
-
-    /// Sets the shard key function on the sharded backend (events map to
-    /// shard `f(&payload) % shards`). A no-op on other backends. Shard
-    /// placement never affects the pop order — sequence numbers are
-    /// global and the cross-shard merge is an exact `(time, seq)` argmin
-    /// — but a placement-coherent key is what would let a future
-    /// multi-core driver run shards in parallel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue already holds events (their placement would
-    /// be inconsistent with the new key).
-    pub fn set_shard_fn(&mut self, f: fn(&E) -> usize) {
-        let empty = self.is_empty();
-        if let Backend::Sharded(s) = &mut self.backend {
-            assert!(empty, "shard key must be set while the queue is empty");
-            s.shard_of = f;
-        }
-    }
-
-    /// Records the conservative lookahead bound on the sharded backend
-    /// (the minimum interconnect link latency; see the module docs). A
-    /// no-op on other backends.
-    pub fn set_lookahead(&mut self, lookahead: Duration) {
-        if let Backend::Sharded(s) = &mut self.backend {
-            s.lookahead = lookahead;
-        }
-    }
-
-    /// The sharded backend's lookahead bound, if any.
-    pub fn lookahead(&self) -> Option<Duration> {
-        match &self.backend {
-            Backend::Sharded(s) => Some(s.lookahead),
-            _ => None,
-        }
-    }
-
     /// Number of events the queue can hold without reallocating (summed
-    /// over the arena slab and overflow level on the wheel backends).
+    /// over the arena slab and overflow level on the wheel).
     pub fn capacity(&self) -> usize {
         match &self.backend {
             Backend::Wheel(w) => w.capacity(),
             Backend::Heap(h) => h.capacity(),
-            Backend::Sharded(s) => s.capacity(),
         }
     }
 
@@ -822,7 +652,6 @@ impl<E> EventQueue<E> {
         match &mut self.backend {
             Backend::Wheel(w) => w.push(ev),
             Backend::Heap(h) => h.push(ev),
-            Backend::Sharded(s) => s.push(ev),
         }
     }
 
@@ -853,7 +682,6 @@ impl<E> EventQueue<E> {
         let ev = match &mut self.backend {
             Backend::Wheel(w) => w.pop()?,
             Backend::Heap(h) => h.pop()?,
-            Backend::Sharded(s) => s.pop()?,
         };
         self.popped += 1;
         self.last_popped = ev.time;
@@ -891,7 +719,6 @@ impl<E> EventQueue<E> {
         match &self.backend {
             Backend::Wheel(w) => w.peek_time(),
             Backend::Heap(h) => h.peek().map(|s| s.time),
-            Backend::Sharded(s) => s.peek_time(),
         }
     }
 
@@ -900,7 +727,6 @@ impl<E> EventQueue<E> {
         match &self.backend {
             Backend::Wheel(w) => w.len(),
             Backend::Heap(h) => h.len(),
-            Backend::Sharded(s) => s.len(),
         }
     }
 
@@ -933,10 +759,10 @@ impl<E: Clone> EventQueue<E> {
 
     /// Restores a snapshot into this (empty, freshly configured) queue.
     ///
-    /// Call after `with_backend_capacity`/`set_shard_fn`/`set_lookahead`:
-    /// the wheel, freelist, and pending-run structures are rebuilt from
-    /// scratch by ordinary pushes, so a restored wheel is bit-equivalent
-    /// to one that reached this state live. Pending events are assigned
+    /// Call after `with_backend_capacity`: the wheel, freelist, and
+    /// pending-run structures are rebuilt from scratch by ordinary
+    /// pushes, so a restored wheel is bit-equivalent to one that reached
+    /// this state live. Pending events are assigned
     /// fresh sequence numbers `0..n` in pop order (see [`QueueSnapshot`]).
     ///
     /// # Panics
@@ -983,23 +809,10 @@ mod tests {
     use crate::rng::SplitMix64;
     use proptest::prelude::*;
 
-    const BACKENDS: [QueueBackend; 4] = [
-        QueueBackend::CalendarWheel,
-        QueueBackend::BinaryHeap,
-        QueueBackend::ShardedWheel { shards: 1 },
-        QueueBackend::ShardedWheel { shards: 4 },
-    ];
-
-    /// Scatter u64 payloads over shards so multi-shard merges are
-    /// actually exercised in the generic tests.
-    fn shard_by_value(e: &u64) -> usize {
-        (*e % 7) as usize
-    }
+    const BACKENDS: [QueueBackend; 2] = [QueueBackend::CalendarWheel, QueueBackend::BinaryHeap];
 
     fn queue_u64(backend: QueueBackend) -> EventQueue<u64> {
-        let mut q = EventQueue::with_backend(backend);
-        q.set_shard_fn(shard_by_value);
-        q
+        EventQueue::with_backend(backend)
     }
 
     #[test]
@@ -1018,8 +831,7 @@ mod tests {
     fn ties_break_fifo() {
         for backend in BACKENDS {
             let mut q = EventQueue::with_backend(backend);
-            q.set_shard_fn(|e: &u32| (*e % 3) as usize);
-            for i in 0..100 {
+            for i in 0..100u32 {
                 q.push(SimTime::from_nanos(7), i);
             }
             let popped: Vec<u32> = q.drain().map(|(_, e)| e).collect();
@@ -1178,33 +990,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_reports_shards_and_lookahead() {
-        let mut q: EventQueue<u64> =
-            EventQueue::with_backend(QueueBackend::ShardedWheel { shards: 4 });
-        assert_eq!(q.shards(), 4);
-        assert_eq!(q.lookahead(), Some(Duration::ZERO));
-        q.set_lookahead(Duration::from_micros(10));
-        assert_eq!(q.lookahead(), Some(Duration::from_micros(10)));
-        assert_eq!(
-            q.backend(),
-            QueueBackend::ShardedWheel { shards: 4 },
-            "backend round-trips shard count"
-        );
-        let plain: EventQueue<u64> = EventQueue::new();
-        assert_eq!(plain.shards(), 1);
-        assert_eq!(plain.lookahead(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "while the queue is empty")]
-    fn shard_fn_rejected_once_events_exist() {
-        let mut q: EventQueue<u64> =
-            EventQueue::with_backend(QueueBackend::ShardedWheel { shards: 2 });
-        q.push(SimTime::from_nanos(1), 1);
-        q.set_shard_fn(shard_by_value);
-    }
-
     // ----- Wheel edge cases -------------------------------------------
 
     /// An event exactly on the overflow-horizon boundary
@@ -1317,7 +1102,7 @@ mod tests {
             let mut rng = SplitMix64::new(hint as u64 ^ 0x5EED);
             for i in 0..4_000u64 {
                 let d = executor_distance(&mut rng) % span;
-                q.push(q.now() + Duration::from_nanos(d), i);
+                q.push(q.now() + crate::time::Duration::from_nanos(d), i);
                 assert_eq!(overflow_len(&q), 0, "hint {hint}: {d} ns overflowed");
                 if i % 2 == 1 {
                     q.pop();
@@ -1581,7 +1366,6 @@ mod tests {
         fn prop_conservation(times in proptest::collection::vec(0u64..1_000, 0..100)) {
             for backend in BACKENDS {
                 let mut q = EventQueue::with_backend(backend);
-                q.set_shard_fn(|e: &usize| e % 5);
                 for (i, &t) in times.iter().enumerate() {
                     q.push(SimTime::from_nanos(t), i);
                 }
@@ -1592,10 +1376,6 @@ mod tests {
             }
         }
 
-        /// Differential: random interleaved push/pop workloads produce
-        /// identical pop sequences (order, FIFO ties, and conservation)
-        /// on every backend — the arena wheel and both shard counts
-        /// against the reference heap.
         /// Snapshot differential: a random workload paused at a random
         /// boundary, snapshotted, and restored into every backend (all
         /// source × destination pairs) finishes byte-identical to the
@@ -1618,6 +1398,9 @@ mod tests {
             snapshot_differential(&ops, cut);
         }
 
+        /// Differential: random interleaved push/pop workloads produce
+        /// identical pop sequences (order, FIFO ties, and conservation)
+        /// on the arena wheel and the reference heap.
         #[test]
         fn prop_wheel_matches_heap(seed in 0u64..400) {
             let mut rng = SplitMix64::new(seed);

@@ -197,9 +197,7 @@ impl FifoServer {
         w.field("jobs", self.jobs);
         w.field("tags", self.busy_by_tag.len());
         for &(tag, d) in &self.busy_by_tag {
-            // Nanoseconds first so the tag (an identifier, but defensively
-            // parsed with split_once) can be recovered unambiguously.
-            w.str_field("tag", &format!("{} {tag}", d.as_nanos()));
+            w.named("tag", d.as_nanos(), tag);
         }
     }
 
@@ -217,19 +215,10 @@ impl FifoServer {
         let busy_total = Duration::from_nanos(r.num("busy")?);
         let wait_total = Duration::from_nanos(r.num("wait")?);
         let jobs = r.num("jobs")?;
-        let n: usize = r.num("tags")?;
-        let mut busy_by_tag = Vec::with_capacity(n);
-        for _ in 0..n {
-            let line = r.field("tag")?;
-            let (ns, name) = line
-                .split_once(' ')
-                .ok_or_else(|| StateError::new(format!("bad tag line {line:?}")))?;
-            let d = Duration::from_nanos(
-                ns.parse()
-                    .map_err(|_| StateError::new(format!("bad tag nanos {ns:?}")))?,
-            );
-            busy_by_tag.push((intern(name), d));
-        }
+        let busy_by_tag = r.counted("tags", |r| {
+            let (ns, name) = r.named("tag")?;
+            Ok((intern(name), Duration::from_nanos(ns)))
+        })?;
         Ok(FifoServer {
             free_at,
             busy_total,
@@ -323,13 +312,9 @@ impl MultiServer {
     ///
     /// Returns [`StateError`] on malformed input or a zero lane count.
     pub fn load_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
-        let k: usize = r.num("lanes")?;
-        if k == 0 {
+        let lanes = r.counted("lanes", FifoServer::load_state)?;
+        if lanes.is_empty() {
             return Err(StateError::new("MultiServer with zero lanes"));
-        }
-        let mut lanes = Vec::with_capacity(k);
-        for _ in 0..k {
-            lanes.push(FifoServer::load_state(r)?);
         }
         Ok(MultiServer { lanes })
     }

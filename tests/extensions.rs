@@ -4,7 +4,7 @@
 
 use activedisks::arch::{Architecture, ProcessorSpec};
 use activedisks::datagen::zipf::Zipf;
-use activedisks::howsim::{Simulation, TraceKind};
+use activedisks::howsim::{Simulation, Trace, TraceKind};
 use activedisks::tasks::planner::apply_shuffle_skew;
 use activedisks::tasks::{plan_task, plan_task_on, TaskKind};
 
@@ -117,7 +117,9 @@ fn embedded_cpu_evolution_helps_where_it_should() {
 #[test]
 fn traces_reconcile_with_reports() {
     let sim = Simulation::new(Architecture::active_disks(16));
-    let (report, trace) = sim.run_traced(TaskKind::GroupBy);
+    let plan = plan_task(TaskKind::GroupBy, sim.architecture());
+    let mut trace = Trace::new();
+    let (report, _) = sim.run_plan_observed(&plan, Some(&mut trace), None, false);
     // Front-end deliveries in the trace match the report's byte count.
     let fe_bytes: u64 = trace
         .events()
