@@ -471,55 +471,34 @@ impl<E> Wheel<E> {
         Some(self.pop_current())
     }
 
-    /// The `(time, seq)` key of the earliest pending event, without
-    /// mutating the wheel (the cursor must only advance on actual pops:
-    /// it pins the legal range of future pushes).
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
+    /// The time of the earliest pending event, without mutating the
+    /// wheel (the cursor must only advance on actual pops: it pins the
+    /// legal range of future pushes).
+    fn peek_time(&self) -> Option<SimTime> {
         // Fast path, mirroring `pop`: live drain state precedes every
         // other bucket and every overflow event, so no bitmap scan or
         // overflow comparison is needed.
         if self.draining {
-            let buf = self.drain_buf.get(self.pos).map(|&(t, q, _)| (t, q));
-            let pend = self
-                .pending
-                .first()
-                .map(|r| (r.time, self.slots[r.head as usize].seq));
-            match (buf, pend) {
-                // Buffer wins time ties (older seqs), as in pop.
-                (Some(b), Some(p)) => return Some(if p.0 < b.0 { p } else { b }),
-                (None, Some(p)) => return Some(p),
-                (Some(b), None) => return Some(b),
-                (None, None) => {}
+            let buf = self.drain_buf.get(self.pos).map(|&(t, _, _)| t);
+            let pend = self.pending.first().map(|r| r.time);
+            if let Some(t) = buf.into_iter().chain(pend).min() {
+                return Some(t);
             }
         }
-        let bucket = if self.count > 0 {
-            // Untouched bucket: min-scan its chain.
-            let slot = self.next_occupied().expect("wheel holds events");
-            let mut h = self.heads[slot];
-            let mut best: Option<(SimTime, u64)> = None;
+        // Untouched bucket: min-scan its chain.
+        let mut bucket: Option<SimTime> = None;
+        if self.count > 0 {
+            let mut h = self.heads[self.next_occupied().expect("wheel holds events")];
             while h != NIL {
                 let s = &self.slots[h as usize];
-                let key = (s.time, s.seq);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
+                bucket = Some(bucket.map_or(s.time, |b| b.min(s.time)));
                 h = s.next;
             }
-            best
-        } else {
-            None
-        };
+        }
         // An overflow event just outside a stale horizon can precede
         // every bucketed one, so always compare against the overflow top.
-        let over = self.overflow.peek().map(|s| (s.time, s.seq));
-        match (bucket, over) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(|(t, _)| t)
+        let over = self.overflow.peek().map(|s| s.time);
+        bucket.into_iter().chain(over).min()
     }
 
     /// Events the wheel can hold without any allocation growing.

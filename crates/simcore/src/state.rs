@@ -124,7 +124,9 @@ impl StateWriter {
     /// Writes `key ns name`: nanoseconds first, so the name (the rest of
     /// the line) may contain spaces.
     pub fn named(&mut self, key: &str, ns: u64, name: &str) {
-        self.str_field(key, &format!("{ns} {name}"));
+        debug_assert!(!key.contains([' ', '\n']), "key {key:?} must be atomic");
+        assert!(!name.contains('\n'), "name {name:?} contains newline");
+        let _ = writeln!(self.buf, "{key} {ns} {name}");
     }
 
     /// Writes an `f64` exactly, as its IEEE-754 bit pattern.
