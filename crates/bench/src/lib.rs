@@ -82,33 +82,31 @@ mod tests {
     /// phase populated.
     #[test]
     fn arena_wheel_steady_state_allocates_nothing() {
-        {
-            let mut rng = SplitMix64::new(7);
-            let mut q = EventQueue::with_backend_capacity(QueueBackend::CalendarWheel, 512);
-            let mut t = 0u64;
-            // Warm up: reach steady depth and let every bucket, slab,
-            // and scratch buffer grow to its working size.
-            for i in 0..512u64 {
-                q.push(SimTime::from_nanos(t + rng.next_below(1 << 22)), i);
-            }
+        let mut rng = SplitMix64::new(7);
+        let mut q = EventQueue::with_backend_capacity(QueueBackend::CalendarWheel, 512);
+        let mut t = 0u64;
+        // Warm up: reach steady depth and let every bucket, slab,
+        // and scratch buffer grow to its working size.
+        for i in 0..512u64 {
+            q.push(SimTime::from_nanos(t + rng.next_below(1 << 22)), i);
+        }
+        for i in 0..20_000u64 {
+            let (now, _) = q.pop().expect("queue stays full");
+            t = now.as_nanos();
+            q.push(SimTime::from_nanos(t + 1 + rng.next_below(1 << 22)), i);
+        }
+        // Steady state: churn must be allocation-free.
+        let (_, n) = super::count_allocs(|| {
+            let mut sum = 0u64;
             for i in 0..20_000u64 {
-                let (now, _) = q.pop().expect("queue stays full");
+                let (now, e) = q.pop().expect("queue stays full");
                 t = now.as_nanos();
+                sum = sum.wrapping_add(e);
                 q.push(SimTime::from_nanos(t + 1 + rng.next_below(1 << 22)), i);
             }
-            // Steady state: churn must be allocation-free.
-            let (_, n) = super::count_allocs(|| {
-                let mut sum = 0u64;
-                for i in 0..20_000u64 {
-                    let (now, e) = q.pop().expect("queue stays full");
-                    t = now.as_nanos();
-                    sum = sum.wrapping_add(e);
-                    q.push(SimTime::from_nanos(t + 1 + rng.next_below(1 << 22)), i);
-                }
-                sum
-            });
-            assert_eq!(n, 0, "the wheel allocated {n} times in steady state");
-        }
+            sum
+        });
+        assert_eq!(n, 0, "the wheel allocated {n} times in steady state");
     }
 
     /// The counter itself observes allocations when they do happen.

@@ -1031,7 +1031,6 @@ mod tests {
             b in 0u64..u64::MAX,
             donor in 0usize..3,
         ) {
-            proptest::prop_assert!(decodes(kind, FILES[kind]), "fixture {} decodes", kind);
             let file = FILES[kind].as_bytes();
             let bytes: Vec<u8> = match damage {
                 0 => {
@@ -1066,7 +1065,9 @@ mod tests {
 
         /// Body edits behind a valid checksum — a number set to
         /// `u64::MAX` or replaced by a non-number, a line dropped or
-        /// duplicated — never panic the decoder.
+        /// duplicated — never panic the decoder. Every reader takes
+        /// its lines in order, checks each key and ends at the body's
+        /// end, so a dropped or duplicated line is always a miss.
         #[test]
         fn prop_resealed_body_edits_never_panic(
             kind in 0usize..3,
@@ -1099,7 +1100,35 @@ mod tests {
                 }
             }
             let text = state::seal(SCHEMAS[kind], key, &(lines.join("\n") + "\n"));
-            let _ = decodes(kind, &text);
+            let decoded = decodes(kind, &text);
+            if edit >= 2 {
+                proptest::prop_assert!(!decoded, "edit {} of line {} in file {}", edit, i, kind);
+            }
+        }
+    }
+
+    /// A body that is empty, cut short, or followed by more lines is a
+    /// miss even behind a valid checksum: each decoder reads the whole
+    /// body and nothing past it.
+    #[test]
+    fn resealed_bodies_must_be_whole() {
+        for kind in 0..3 {
+            let (key, body) = state::open(SCHEMAS[kind], FILES[kind]).expect("valid fixture");
+            let reseal = |body: &str| state::seal(SCHEMAS[kind], key, body);
+            let lines: Vec<&str> = body.lines().collect();
+            let half = lines[..lines.len() / 2].join("\n") + "\n";
+            let last = lines[lines.len() - 1];
+            assert!(decodes(kind, &reseal(body)), "file {kind} re-sealed as is");
+            assert!(!decodes(kind, &reseal("")), "file {kind}: empty body");
+            assert!(!decodes(kind, &reseal(&half)), "file {kind}: half a body");
+            assert!(
+                !decodes(kind, &reseal(&format!("{body}{last}\n"))),
+                "file {kind}: last line twice"
+            );
+            assert!(
+                !decodes(kind, &reseal(&format!("{body}junk trailing\n"))),
+                "file {kind}: junk"
+            );
         }
     }
 }
