@@ -29,6 +29,29 @@ use std::env;
 use std::fs;
 use std::path::Path;
 
+/// `println!` for stdout output. A reader that has closed the pipe (as
+/// `head` does) ends the program quietly with exit status 0 instead of a
+/// "failed printing to stdout" panic.
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout; see [`outln!`].
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 fn write_csv(enabled: bool, name: &str, contents: &str) {
     if !enabled {
         return;
@@ -87,40 +110,40 @@ fn main() {
     let fig5_sizes: &[usize] = if quick { &[64] } else { &[32, 64, 128] };
 
     if want("--table1") {
-        println!(
+        outln!(
             "{}",
             experiments::table1::render(&experiments::table1::run())
         );
     }
     if want("--table2") {
-        println!(
+        outln!(
             "{}",
             experiments::table2::render(&experiments::table2::run())
         );
     }
     if want("--fig1") {
         let cells = experiments::fig1::run_sizes(sizes);
-        println!("{}", experiments::fig1::render(&cells));
+        outln!("{}", experiments::fig1::render(&cells));
         write_csv(csv, "fig1.csv", &experiments::csv::fig1(&cells));
     }
     if want("--fig2") {
         let cells = experiments::fig2::run_sizes(fig2_sizes);
-        println!("{}", experiments::fig2::render(&cells));
+        outln!("{}", experiments::fig2::render(&cells));
         write_csv(csv, "fig2.csv", &experiments::csv::fig2(&cells));
     }
     if want("--fig3") {
         let rows = experiments::fig3::run_sizes(sizes);
-        println!("{}", experiments::fig3::render(&rows));
+        outln!("{}", experiments::fig3::render(&rows));
         write_csv(csv, "fig3.csv", &experiments::csv::fig3(&rows));
     }
     if want("--fig4") {
         let cells = experiments::fig4::run_memory(sizes, 64);
-        println!("{}", experiments::fig4::render(&cells));
+        outln!("{}", experiments::fig4::render(&cells));
         write_csv(csv, "fig4.csv", &experiments::csv::fig4(&cells));
     }
     if want("--fig5") {
         let cells = experiments::fig5::run_sizes(fig5_sizes);
-        println!("{}", experiments::fig5::render(&cells));
+        outln!("{}", experiments::fig5::render(&cells));
         write_csv(csv, "fig5.csv", &experiments::csv::fig5(&cells));
     }
     if want("--beyond64") {
@@ -129,7 +152,7 @@ fn main() {
         } else {
             experiments::beyond64::run()
         };
-        println!("{}", experiments::beyond64::render(&rows));
+        outln!("{}", experiments::beyond64::render(&rows));
         write_csv(csv, "beyond64.csv", &experiments::csv::beyond64(&rows));
     }
     if want("--growth") {
@@ -138,7 +161,7 @@ fn main() {
         } else {
             experiments::growth::run()
         };
-        println!("{}", experiments::growth::render(&rows));
+        outln!("{}", experiments::growth::render(&rows));
     }
     if want("--skew") {
         let rows = if quick {
@@ -146,7 +169,7 @@ fn main() {
         } else {
             experiments::skew::run()
         };
-        println!("{}", experiments::skew::render(&rows));
+        outln!("{}", experiments::skew::render(&rows));
     }
     if want("--availability") {
         use tasks::TaskKind;
@@ -155,7 +178,7 @@ fn main() {
         } else {
             experiments::availability::run()
         };
-        println!("{}", experiments::availability::render(&rows));
+        outln!("{}", experiments::availability::render(&rows));
         write_csv(
             csv,
             "availability.csv",
@@ -173,7 +196,7 @@ fn main() {
         } else {
             experiments::loadsweep::run()
         };
-        println!("{}", experiments::loadsweep::render(&rows, &summaries));
+        outln!("{}", experiments::loadsweep::render(&rows, &summaries));
         write_csv(csv, "loadsweep.csv", &experiments::csv::loadsweep(&rows));
     }
     if want("--sensitivity") {
@@ -182,7 +205,7 @@ fn main() {
         } else {
             experiments::sensitivity::run()
         };
-        println!("{}", experiments::sensitivity::render(&rows));
+        outln!("{}", experiments::sensitivity::render(&rows));
     }
     if want("--ablations") {
         ablations(sizes);
@@ -211,11 +234,11 @@ fn ablations(sizes: &[usize]) {
     use howsim::cache;
     use tasks::TaskKind;
 
-    println!("Ablation: 128 MB disk memory (vs 32 MB)");
+    outln!("Ablation: 128 MB disk memory (vs 32 MB)");
     let cells = experiments::fig4::run_memory(sizes, 128);
-    println!("{}", experiments::fig4::render(&cells));
+    outln!("{}", experiments::fig4::render(&cells));
 
-    println!("Ablation: 1 GHz front-end (vs 450 MHz), % improvement");
+    outln!("Ablation: 1 GHz front-end (vs 450 MHz), % improvement");
     for &disks in sizes {
         for task in TaskKind::ALL {
             let base = cache::run(&Architecture::active_disks(disks), task)
@@ -228,7 +251,7 @@ fn ablations(sizes: &[usize]) {
             )
             .elapsed()
             .as_secs_f64();
-            println!(
+            outln!(
                 "  {:>10} @ {:>3} disks: {:+.1}%",
                 task.name(),
                 disks,
@@ -236,9 +259,9 @@ fn ablations(sizes: &[usize]) {
             );
         }
     }
-    println!();
+    outln!();
 
-    println!("Ablation: next-generation embedded processor (2x Cyrix), % improvement");
+    outln!("Ablation: next-generation embedded processor (2x Cyrix), % improvement");
     for &disks in sizes {
         for task in TaskKind::ALL {
             let base = cache::run(&Architecture::active_disks(disks), task)
@@ -251,7 +274,7 @@ fn ablations(sizes: &[usize]) {
             )
             .elapsed()
             .as_secs_f64();
-            println!(
+            outln!(
                 "  {:>10} @ {:>3} disks: {:+.1}%",
                 task.name(),
                 disks,
@@ -259,9 +282,9 @@ fn ablations(sizes: &[usize]) {
             );
         }
     }
-    println!();
+    outln!();
 
-    println!("Ablation: Hitachi Fast Disks (vs Cheetah 9LP), % improvement");
+    outln!("Ablation: Hitachi Fast Disks (vs Cheetah 9LP), % improvement");
     for &disks in sizes {
         for task in TaskKind::ALL {
             let base = cache::run(&Architecture::active_disks(disks), task)
@@ -274,7 +297,7 @@ fn ablations(sizes: &[usize]) {
             )
             .elapsed()
             .as_secs_f64();
-            println!(
+            outln!(
                 "  {:>10} @ {:>3} disks: {:+.1}%",
                 task.name(),
                 disks,

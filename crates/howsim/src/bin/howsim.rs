@@ -66,6 +66,29 @@ use simcore::span::FRONT_END_NODE;
 use simcore::QueueBackend;
 use tasks::TaskKind;
 
+/// `println!` for stdout output. A reader that has closed the pipe (as
+/// `head` does) ends the program quietly with exit status 0 instead of a
+/// "failed printing to stdout" panic.
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout; see [`outln!`].
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 /// Spans printed by the `profile` subcommand's longest-spans table.
 const PROFILE_TOP_K: usize = 10;
 
@@ -346,14 +369,19 @@ fn print_explanation(
     wall: std::time::Duration,
 ) {
     let attr = Attribution::from_report(report);
-    println!("{report}");
-    println!();
-    println!(
+    outln!("{report}");
+    outln!();
+    outln!(
         "  {:<16} {:>5} {:>11} {:>11} {:>8} {:>8}   peak phase",
-        "resource", "lanes", "service (s)", "wait (s)", "overall", "peak"
+        "resource",
+        "lanes",
+        "service (s)",
+        "wait (s)",
+        "overall",
+        "peak"
     );
     for r in &attr.resources {
-        println!(
+        outln!(
             "  {:<16} {:>5} {:>11.3} {:>11.3} {:>7.1}% {:>7.1}%   {}",
             r.resource.label(report.architecture),
             r.lanes,
@@ -364,30 +392,30 @@ fn print_explanation(
             r.peak_phase,
         );
     }
-    println!();
+    outln!();
     match attr.bottleneck() {
-        Some(b) => println!(
+        Some(b) => outln!(
             "  bottleneck: {} — {:.1}% busy during `{}`",
             b.resource.label(report.architecture),
             b.peak_utilization * 100.0,
             b.peak_phase,
         ),
-        None => println!("  bottleneck: none (no phases executed)"),
+        None => outln!("  bottleneck: none (no phases executed)"),
     }
     if let Some(cp) = critical_path {
         match cp.segments.first() {
-            Some(top) if !cp.total.is_zero() => println!(
+            Some(top) if !cp.total.is_zero() => outln!(
                 "  critical path: {} — {:.1}% of elapsed ({:.3} s of {:.3} s)",
                 top.resource,
                 top.time.as_secs_f64() / cp.total.as_secs_f64() * 100.0,
                 top.time.as_secs_f64(),
                 cp.total.as_secs_f64(),
             ),
-            _ => println!("  critical path: none (no phases executed)"),
+            _ => outln!("  critical path: none (no phases executed)"),
         }
     }
     let wall_s = wall.as_secs_f64();
-    println!(
+    outln!(
         "  simulator: {} events in {:.3} s wall ({:.0} events/s)",
         report.events,
         wall_s,
@@ -403,26 +431,30 @@ fn print_explanation(
 /// decomposition, the wait/service table, and the longest spans — the
 /// `profile` subcommand body. Deterministic: no wall-clock data.
 fn print_profile(report: &howsim::Report, spans: &SpanTrace) {
-    println!("{report}");
+    outln!("{report}");
     let cp = spans.critical_path();
-    println!();
-    println!(
+    outln!();
+    outln!(
         "  critical path ({} ns — equals elapsed exactly):",
         cp.total.as_nanos()
     );
-    println!("  {:<18} {:>12} {:>8}", "resource", "time (s)", "share");
+    outln!("  {:<18} {:>12} {:>8}", "resource", "time (s)", "share");
     for seg in &cp.segments {
-        println!(
+        outln!(
             "  {:<18} {:>12.3} {:>7.1}%",
             seg.resource,
             seg.time.as_secs_f64(),
             seg.time.as_secs_f64() / cp.total.as_secs_f64().max(f64::MIN_POSITIVE) * 100.0,
         );
     }
-    println!();
-    println!(
+    outln!();
+    outln!(
         "  {:<16} {:>5} {:>12} {:>12} {:>10}",
-        "resource", "lanes", "service (s)", "wait (s)", "wait frac"
+        "resource",
+        "lanes",
+        "service (s)",
+        "wait (s)",
+        "wait frac"
     );
     let attr = Attribution::from_report(report);
     for r in &attr.resources {
@@ -432,7 +464,7 @@ fn print_profile(report: &howsim::Report, spans: &SpanTrace) {
         } else {
             r.wait.as_secs_f64() / total.as_secs_f64()
         };
-        println!(
+        outln!(
             "  {:<16} {:>5} {:>12.3} {:>12.3} {:>9.1}%",
             r.resource.label(report.architecture),
             r.lanes,
@@ -441,11 +473,17 @@ fn print_profile(report: &howsim::Report, spans: &SpanTrace) {
             frac * 100.0,
         );
     }
-    println!();
-    println!("  top {PROFILE_TOP_K} longest spans:");
-    println!(
+    outln!();
+    outln!("  top {PROFILE_TOP_K} longest spans:");
+    outln!(
         "  {:>8} {:<12} {:<16} {:>6} {:>14} {:>14} {:>12}",
-        "span", "kind", "resource", "node", "start (ns)", "dur (ns)", "bytes"
+        "span",
+        "kind",
+        "resource",
+        "node",
+        "start (ns)",
+        "dur (ns)",
+        "bytes"
     );
     for (id, s) in spans.top_spans(PROFILE_TOP_K) {
         let node = if s.node == FRONT_END_NODE {
@@ -453,7 +491,7 @@ fn print_profile(report: &howsim::Report, spans: &SpanTrace) {
         } else {
             s.node.to_string()
         };
-        println!(
+        outln!(
             "  {:>8} {:<12} {:<16} {:>6} {:>14} {:>14} {:>12}",
             id.index().unwrap_or(usize::MAX),
             s.kind.name(),
@@ -464,8 +502,8 @@ fn print_profile(report: &howsim::Report, spans: &SpanTrace) {
             s.bytes,
         );
     }
-    println!();
-    println!(
+    outln!();
+    outln!(
         "  spans: {} recorded, {} dropped (capacity {})",
         spans.arena.len(),
         spans.arena.dropped(),
@@ -476,17 +514,28 @@ fn print_profile(report: &howsim::Report, spans: &SpanTrace) {
 /// Prints the per-query outcome table and the load summary — the
 /// `--load` output body.
 fn print_load_report(report: &LoadReport) {
-    println!(
+    outln!(
         "loaded run: {} x{} disks  workload {}  admission {}  deadline {}",
-        report.architecture, report.disks, report.workload, report.admission, report.deadline,
+        report.architecture,
+        report.disks,
+        report.workload,
+        report.admission,
+        report.deadline,
     );
-    println!();
-    println!(
+    outln!();
+    outln!(
         "  {:>5} {:<10} {:<10} {:>12} {:>12} {:>7} {:>8} {:>6}",
-        "query", "task", "status", "arrival (s)", "latency (s)", "retries", "timeouts", "phases"
+        "query",
+        "task",
+        "status",
+        "arrival (s)",
+        "latency (s)",
+        "retries",
+        "timeouts",
+        "phases"
     );
     for o in &report.outcomes {
-        println!(
+        outln!(
             "  {:>5} {:<10} {:<10} {:>12.3} {:>12.3} {:>7} {:>8} {:>6}",
             o.query,
             o.task.name(),
@@ -498,8 +547,8 @@ fn print_load_report(report: &LoadReport) {
             o.phases.len(),
         );
     }
-    println!();
-    println!(
+    outln!();
+    outln!(
         "  outcomes: {} queries — {} completed, {} shed, {} timed out, {} aborted ({} retries, {} timeouts)",
         report.outcomes.len(),
         report.completed(),
@@ -513,20 +562,20 @@ fn print_load_report(report: &LoadReport) {
         Some(d) => format!("{:.3} s", d.as_secs_f64()),
         None => "-".to_string(),
     };
-    println!(
+    outln!(
         "  latency: p50 {}  p95 {}  p99 {}",
         pct(50.0),
         pct(95.0),
         pct(99.0),
     );
-    println!(
+    outln!(
         "  goodput: {:.4} queries/s over {:.3} s simulated ({} events)",
         report.goodput_qps(),
         report.elapsed.as_secs_f64(),
         report.events,
     );
     if report.faults_injected > 0 {
-        println!(
+        outln!(
             "  faults: {} injected — {} MB redistributed, {:.3} s disk downtime",
             report.faults_injected,
             report.work_redistributed / 1_000_000,
@@ -706,9 +755,9 @@ fn main() -> ExitCode {
     } else if opts.profile {
         print_profile(&report, span_trace.as_ref().expect("profiled run"));
     } else {
-        println!("{report}");
+        outln!("{report}");
         for p in &report.phases {
-            println!(
+            outln!(
                 "  {:<16} {:>9.3} s   CPU idle {:>5.1}%   net {:>8} MB   front-end {:>8} MB",
                 p.name,
                 p.elapsed.as_secs_f64(),
@@ -717,7 +766,7 @@ fn main() -> ExitCode {
                 p.frontend_bytes / 1_000_000,
             );
             for (tag, busy) in &p.cpu_busy_by_tag {
-                println!(
+                outln!(
                     "    {:<14} {:>9.3} node-seconds ({:>4.1}%)",
                     tag,
                     busy.as_secs_f64(),
@@ -725,10 +774,10 @@ fn main() -> ExitCode {
                 );
             }
         }
-        println!("  disk service times: {}", report.disk_service);
+        outln!("  disk service times: {}", report.disk_service);
     }
     if report.faults_injected > 0 {
-        println!(
+        outln!(
             "  faults: {} injected ({}), recovery {} — {:.3} s recovery work, {} MB redistributed, {:.3} s disk downtime{}",
             report.faults_injected,
             fault_plan.summary(),

@@ -39,6 +39,8 @@
 
 use simcore::Duration;
 
+use crate::workload::duration_from_secs;
+
 /// How long the system takes to *notice* a fail-stopped node: outstanding
 /// requests to it time out after this interval and recovery begins.
 pub const DETECT_TIMEOUT: Duration = Duration::from_millis(500);
@@ -236,7 +238,8 @@ impl FaultPlan {
     }
 }
 
-/// Parses `2.5s`, `750ms`, or a plain seconds number.
+/// Parses `2.5s`, `750ms`, or a plain seconds number; `None` also when
+/// the time does not fit the simulated clock.
 fn parse_time(s: &str) -> Option<Duration> {
     let (num, scale) = if let Some(ms) = s.strip_suffix("ms") {
         (ms, 1e-3)
@@ -246,10 +249,7 @@ fn parse_time(s: &str) -> Option<Duration> {
         (s, 1.0)
     };
     let value: f64 = num.parse().ok()?;
-    if !value.is_finite() || value < 0.0 {
-        return None;
-    }
-    Some(Duration::from_secs_f64(value * scale))
+    duration_from_secs(value * scale)
 }
 
 /// What the system does about a fail-stopped node's unfinished work.
@@ -383,6 +383,14 @@ mod tests {
     #[test]
     fn negative_time_is_rejected() {
         assert!(FaultPlan::parse_spec("disk:3@-1s").is_err());
+    }
+
+    #[test]
+    fn time_past_the_clock_is_rejected() {
+        // Saturated, 1e300 s would read as u64::MAX ns (`18446744073.710s`).
+        assert!(FaultPlan::parse_spec("disk:1@1e300").is_err());
+        assert!(FaultPlan::parse_spec("slow:1@18446744073710ms:4").is_err());
+        assert!(FaultPlan::parse_spec("disk:1@18446744073s").is_ok());
     }
 
     #[test]

@@ -70,35 +70,43 @@ fn parse_task(name: &str) -> Result<TaskKind, String> {
         })
 }
 
-/// Parses a duration literal: `<n>ns`, `<n>us`, `<n>ms`, or `<x>s`.
+/// Parses a duration literal: `<n>ns`, `<n>us`, `<n>ms`, or `<x>s`. A
+/// literal whose nanoseconds do not fit the simulated clock (a `u64`) is
+/// an error.
 pub fn parse_duration(s: &str) -> Result<Duration, String> {
     let err = || format!("bad duration '{s}' (expected e.g. 120s, 250ms, 10us, 500ns)");
-    if let Some(v) = s.strip_suffix("ns") {
-        return v
-            .parse::<u64>()
+    let overflow = || format!("duration '{s}' overflows the simulated clock");
+    let scaled = |v: &str, ns_per_unit: u64| {
+        let n: u64 = v.parse().map_err(|_| err())?;
+        n.checked_mul(ns_per_unit)
             .map(Duration::from_nanos)
-            .map_err(|_| err());
+            .ok_or_else(overflow)
+    };
+    if let Some(v) = s.strip_suffix("ns") {
+        return scaled(v, 1);
     }
     if let Some(v) = s.strip_suffix("us") {
-        return v
-            .parse::<u64>()
-            .map(Duration::from_micros)
-            .map_err(|_| err());
+        return scaled(v, 1_000);
     }
     if let Some(v) = s.strip_suffix("ms") {
-        return v
-            .parse::<u64>()
-            .map(Duration::from_millis)
-            .map_err(|_| err());
+        return scaled(v, 1_000_000);
     }
     if let Some(v) = s.strip_suffix('s') {
         let secs: f64 = v.parse().map_err(|_| err())?;
         if !(secs >= 0.0 && secs.is_finite()) {
             return Err(err());
         }
-        return Ok(Duration::from_secs_f64(secs));
+        return duration_from_secs(secs).ok_or_else(overflow);
     }
     Err(err())
+}
+
+/// `secs` seconds as a [`Duration`], or `None` when it is negative, not
+/// a number, or rounds to more nanoseconds than a `u64` holds.
+pub(crate) fn duration_from_secs(secs: f64) -> Option<Duration> {
+    // 2^64 is exact in f64, and the nanosecond count must stay below it.
+    let fits = secs >= 0.0 && (secs * 1e9).round() < u64::MAX as f64;
+    fits.then(|| Duration::from_secs_f64(secs))
 }
 
 /// Renders a duration the way specs write them (integer nanoseconds
@@ -200,6 +208,19 @@ impl WorkloadSpec {
             .map_err(|_| format!("bad query count in load spec '{load}'"))?;
         if queries == 0 {
             return Err("workload needs at least one query".into());
+        }
+        if let ArrivalProcess::Poisson { qps } = arrival {
+            // `arrival_times` draws gaps of at most -ln(2^-53) / qps
+            // seconds (`next_f64` has 53 bits); `queries` of them must fit
+            // the clock. The pad covers the rounding of up to 2^32 float
+            // additions.
+            let max_gap = -(2f64.powi(-53)).ln() / qps;
+            if duration_from_secs(f64::from(queries) * max_gap * (1.0 + 1e-6)).is_none() {
+                return Err(format!(
+                    "arrival rate {qps} is too low: {queries} arrivals could overflow \
+                     the simulated clock"
+                ));
+            }
         }
         let mix = Self::parse_mix(mix)?;
         Ok(WorkloadSpec {
@@ -538,5 +559,49 @@ mod tests {
         );
         assert_eq!(duration_spec(Duration::from_millis(1500)), "1500ms");
         assert_eq!(duration_spec(Duration::from_secs(3)), "3s");
+    }
+
+    #[test]
+    fn millisecond_literal_past_the_clock_is_an_error() {
+        // 18446744073710 ms is 10^6 ns past u64::MAX; wrapped, it would
+        // read as a 448 us deadline.
+        assert!(parse_duration("18446744073710ms").is_err());
+        assert!(DeadlinePolicy::parse_spec("18446744073710ms").is_err());
+        assert_eq!(
+            parse_duration("18446744073709ms").unwrap().as_nanos(),
+            18_446_744_073_709_000_000
+        );
+    }
+
+    #[test]
+    fn microsecond_literal_past_the_clock_is_an_error() {
+        assert!(parse_duration("18446744073709552us").is_err());
+        assert_eq!(
+            parse_duration("18446744073709551us").unwrap().as_nanos(),
+            18_446_744_073_709_551_000
+        );
+        assert_eq!(
+            parse_duration("18446744073709551615ns").unwrap().as_nanos(),
+            u64::MAX
+        );
+    }
+
+    #[test]
+    fn seconds_literal_past_the_clock_is_an_error() {
+        // Saturated, 1e20 s would read as u64::MAX ns.
+        assert!(parse_duration("1e20s").is_err());
+        assert!(parse_duration("18446744074s").is_err());
+        // Within one f64 step (2048 ns up here) of the exact count.
+        let d = parse_duration("18446744073s").unwrap();
+        assert!(d.as_nanos().abs_diff(18_446_744_073_000_000_000) <= 2048);
+    }
+
+    #[test]
+    fn poisson_rate_too_low_for_the_clock_is_rejected() {
+        // At 5e-324 qps the first gap alone is infinite, which
+        // `arrival_times` cannot turn into a time.
+        assert!(WorkloadSpec::parse_spec("poisson:5e-324:3", "select").is_err());
+        let w = WorkloadSpec::parse_spec("poisson:1e-6:3", "select").unwrap();
+        assert_eq!(w.arrival_times().len(), 3);
     }
 }
