@@ -694,12 +694,14 @@ fn main() -> ExitCode {
             &run,
         ) {
             Ok(()) => {
+                // A run that finishes before `--at` is paused at its end.
+                let clock = if run.is_done() { run.paused_at() } else { at };
                 eprintln!(
                     "checkpointed {} on {} x{} at {:.3} s ({} events) to {path}",
                     opts.task.name(),
                     opts.arch,
                     opts.disks,
-                    at.as_secs_f64(),
+                    clock.as_secs_f64(),
                     run.events_so_far(),
                 );
                 ExitCode::SUCCESS

@@ -2,7 +2,7 @@
 //! [`write_file`] and resumed with [`read_file`].
 //!
 //! A checkpoint captures a run at an exact event boundary — machine
-//! state, fault runtime, finished-phase reports, and the live event
+//! state, fault state, finished-phase reports, and the live event
 //! queue — so a later process can resume it (under either queue
 //! backend) instead of re-simulating the prefix. Files carry the shared
 //! armor of [`simcore::state`] (the result cache's too): a schema line,

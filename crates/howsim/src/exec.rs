@@ -1,24 +1,21 @@
-//! The discrete-event executor: one per-query phase engine under two
-//! thin drivers.
+//! The discrete-event executor: one per-query phase engine under one
+//! driver.
 //!
 //! `PhaseEngine` holds one query's progress through its plan: the phase
 //! cursor, per-node read and output state, the phase's per-batch costs
 //! and shuffle schedule, the query's recovery view of failed nodes, its
-//! count of work events in flight and its critical-path span anchors.
-//! Its methods are the phase state machine, each implemented once:
-//! open a phase (`begin`, then `prime`), handle a work event (`handle`),
-//! tear down a node that fail-stops mid-phase (`fail_node`) and close a
-//! drained phase (`close`). The engine never knows which driver owns it.
+//! count of work events in flight, its critical-path span anchors and
+//! the reports of the phases it has ended. Its methods are the phase
+//! state machine, each implemented once: open a phase (`begin`, then
+//! `prime`), handle a work event (`handle`), tear down a node that
+//! fail-stops mid-phase (`fail_node`) and close a drained phase
+//! (`close`). The engine never knows who drives it.
 //!
-//! - [`ExecRun`] (this module) drives one engine through one plan: a
-//!   fresh event queue per phase, a pause point for forks and
-//!   checkpoints, barrier-time fault application (a fault due by a phase
-//!   start counts as detected there), per-phase [`Report`] rows and the
-//!   `howsim-ckpt/v1` state codec. Every solo entry point of
-//!   [`Simulation`] runs through it.
-//! - [`crate::mqexec`] drives one engine per query on a shared machine
-//!   and queue, and adds admission, deadlines, retries and clock-based
-//!   failure detection.
+//! [`crate::mqexec`] holds the one driver. It runs every configuration:
+//! a solo run is a one-query workload on it. [`ExecRun`] (this module)
+//! is the solo façade over a one-query driver: it keeps the pausable,
+//! forkable run API, the solo [`Report`] and the `howsim-ckpt/v1` state
+//! codec. Every solo entry point of [`Simulation`] runs through it.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -34,6 +31,7 @@ use crate::faults::{
 };
 use crate::machine::Machine;
 use crate::metrics::{MetricsBuilder, Resource, ResourceUsage};
+use crate::mqexec::{Mq, QState, QueryRun, QueryStatus};
 use crate::profile::{PhaseSpans, SpanTrace};
 use crate::report::{load_resources, load_tag_map, save_resources, save_tag_map};
 use crate::report::{PhaseReport, Report};
@@ -73,9 +71,8 @@ pub struct Simulation {
 /// that completes when the event fires ([`SpanId::NONE`] unless the run
 /// is profiled) — the causal parent of whatever the handler does next.
 /// The `query` field names the engine that pushed a work event: a solo
-/// run uses lane 0, a loaded run ([`crate::mqexec`]) interleaves many
-/// lanes on one queue. Payload fields never affect the `(time, seq)` pop
-/// order.
+/// run is query 0, a loaded run interleaves many queries on one queue.
+/// Payload fields never affect the `(time, seq)` pop order.
 #[derive(Debug, Clone)]
 pub(crate) enum Ev {
     /// A batch finished reading from disk at a node.
@@ -116,9 +113,8 @@ pub(crate) enum Ev {
     /// The failure of `node` is detected (its request timeouts expired):
     /// recovery of its remaining partition begins for `query`.
     RecoveryKick { node: usize, query: u32 },
-    /// Control events of the multi-query executor (never seen by the
-    /// single-query phase loop): a query arrives at the admission
-    /// controller.
+    /// Control events of the driver (never seen by a phase engine): a
+    /// query arrives at the admission controller.
     Admit { query: u32 },
     /// A query's phase barrier completed; start its next phase (or
     /// finish). Tagged with the attempt so stale barriers of a cancelled
@@ -143,9 +139,7 @@ impl Ev {
             | Ev::RecvProcessed { query, .. }
             | Ev::FeArrive { query, .. }
             | Ev::RecoveryKick { query, .. } => Some(query),
-            Ev::Admit { .. } | Ev::PhaseStart { .. } | Ev::Deadline { .. } | Ev::Retry { .. } => {
-                None
-            }
+            _ => None,
         }
     }
 }
@@ -437,55 +431,40 @@ fn credit_step(credits: &mut [f64], inc: &[f64], dst: Option<usize>) -> usize {
     dst
 }
 
-/// Fault-injection runtime: persists across phases of one run, applying
-/// scheduled faults as simulated time reaches them and steering recovery.
-/// Each [`PhaseEngine`] holds one as its recovery view (detection flags,
-/// pooled lost batches, survivor cursor, abort clock). A solo run's also
-/// carries the fault schedule; a loaded run keeps one *global* `FaultRt`
-/// for the shared schedule and machine effects, and gives each query's
-/// engine an empty-schedule one.
+/// The run's fault schedule and what it has done so far: the driver's
+/// half of fault injection. The driver ([`crate::mqexec`]) applies every
+/// scheduled fault to the shared machine in time order and owns the one
+/// abort clock; each [`PhaseEngine`] keeps only its recovery view.
 #[derive(Clone)]
-pub(crate) struct FaultRt {
+pub(crate) struct Faults {
     /// Scheduled faults in chronological order (absolute offsets).
     events: Vec<FaultEvent>,
     /// Index of the first not-yet-applied fault.
-    next: usize,
+    pub(crate) next: usize,
     pub(crate) policy: RecoveryPolicy,
-    /// Whether a node's fail-stop has been *detected* (request timeouts
-    /// expired); until then peers keep sending to it and pay retries.
-    pub(crate) detected: Vec<bool>,
-    /// Lost batches awaiting reassignment, as `(origin node, bytes)`.
-    /// Entries stay pooled until the origin's failure is detected.
-    pool: Vec<(usize, u64)>,
-    /// Round-robin cursor spreading recovery batches over survivors.
-    rr: usize,
+    /// Places the defects of media bursts.
     rng: SplitMix64,
     pub(crate) injected: u64,
-    /// Fail-stop policy: the run aborts when the clock reaches this.
+    /// The abort clock: the run halts when the clock reaches it.
     pub(crate) abort_at: Option<SimTime>,
-    /// Fast-path guard: true once any disk has fail-stopped.
-    pub(crate) any_dead: bool,
 }
 
-impl FaultRt {
-    pub(crate) fn new(plan: &FaultPlan, policy: RecoveryPolicy, seed: u64, nodes: usize) -> Self {
-        FaultRt {
+impl Faults {
+    pub(crate) fn new(plan: &FaultPlan, policy: RecoveryPolicy, seed: u64) -> Self {
+        Faults {
             events: plan.events().to_vec(),
             next: 0,
             policy,
-            detected: vec![false; nodes],
-            pool: Vec::new(),
-            rr: 0,
             rng: SplitMix64::new(seed),
             injected: 0,
             abort_at: None,
-            any_dead: false,
         }
     }
 
-    /// Applies the next scheduled fault if it is due at or before `now`.
-    /// Returns its time and, for a fail-stop, the failed node, so the
-    /// caller can apply its detection rule; `None` once no fault is due.
+    /// Applies the next scheduled fault to the machine if it is due at
+    /// or before `now`. Returns its time and, for a fail-stop, the failed
+    /// node; `None` once no fault is due. Under the fail-stop policy a
+    /// fail-stop sets the abort clock `DETECT_TIMEOUT` after it.
     #[inline]
     pub(crate) fn apply_next(
         &mut self,
@@ -498,73 +477,39 @@ impl FaultRt {
             return None;
         }
         self.next += 1;
-        Some((t, self.apply_machine(m, ev, t)))
-    }
-
-    /// Applies machine-level effects of one fault at its due time `t`;
-    /// returns the failed node for a fail-stop.
-    fn apply_machine(&mut self, m: &mut Machine, ev: FaultEvent, t: SimTime) -> Option<usize> {
-        match ev.kind {
-            FaultKind::DiskFailStop { node } => {
-                if node >= m.nodes() || m.disk_failed(node) {
-                    return None;
-                }
+        let failed = match ev.kind {
+            FaultKind::DiskFailStop { node } if node < m.nodes() && !m.disk_failed(node) => {
                 m.fail_disk(node, t);
-                self.any_dead = true;
                 self.injected += 1;
                 if self.policy == RecoveryPolicy::FailStop {
-                    let abort = t + DETECT_TIMEOUT;
-                    self.abort_at = Some(self.abort_at.map_or(abort, |prev| prev.min(abort)));
+                    self.abort(t + DETECT_TIMEOUT);
                 }
                 Some(node)
             }
-            FaultKind::MediaBurst { node, defects } => {
-                if node < m.nodes() && !m.disk_failed(node) {
-                    m.degrade_disk_seeded(node, defects as u64, &mut self.rng);
-                    self.injected += 1;
-                }
+            FaultKind::MediaBurst { node, defects } if node < m.nodes() && !m.disk_failed(node) => {
+                m.degrade_disk_seeded(node, defects as u64, &mut self.rng);
+                self.injected += 1;
                 None
             }
-            FaultKind::LinkFault { node, severity } => {
-                if node < m.nodes() {
-                    m.interconnect_fault(node, severity);
-                    self.injected += 1;
-                }
+            FaultKind::LinkFault { node, severity } if node < m.nodes() => {
+                m.interconnect_fault(node, severity);
+                self.injected += 1;
                 None
             }
-        }
+            _ => None,
+        };
+        Some((t, failed))
     }
 
-    /// Reassigns every pooled batch whose origin's failure is detected,
-    /// round-robin over survivors. Returns the indices of survivors that
-    /// received work (empty when nothing was assignable). Sets the abort
-    /// clock if no survivor remains.
-    fn assign_detected(&mut self, nodes: &mut [NodeState], now: SimTime) -> Vec<usize> {
-        let mut touched = Vec::new();
-        let healthy: Vec<usize> = (0..nodes.len()).filter(|&i| !nodes[i].dead).collect();
-        let mut i = 0;
-        while i < self.pool.len() {
-            let (origin, bytes) = self.pool[i];
-            if !self.detected[origin] {
-                i += 1;
-                continue;
-            }
-            if healthy.is_empty() {
-                self.abort_at = Some(self.abort_at.map_or(now, |a| a.min(now)));
-                return touched;
-            }
-            self.pool.remove(i);
-            let target = healthy[self.rr % healthy.len()];
-            self.rr += 1;
-            nodes[target].batches_total += 1;
-            nodes[target].recovery_pending.push_back(bytes);
-            if !touched.contains(&target) {
-                touched.push(target);
-            }
-        }
-        touched
+    /// Sets the abort clock to `at` unless it is already earlier.
+    pub(crate) fn abort(&mut self, at: SimTime) {
+        self.abort_at = Some(self.abort_at.map_or(at, |prev| prev.min(at)));
     }
 }
+
+/// An engine found lost work whose failure is detected and no surviving
+/// node to take it: the run must abort now.
+pub(crate) struct NoSurvivor;
 
 /// The first surviving node after `from` (wrapping), if any.
 fn next_healthy(nodes: &[NodeState], from: usize) -> Option<usize> {
@@ -667,7 +612,7 @@ impl Simulation {
     ///
     /// Panics if the plan fails validation.
     pub fn run_plan(&self, plan: &TaskPlan) -> Report {
-        self.run_plan_core(plan, None, None, false).0
+        self.run_plan_observed(plan, None, None, false).0
     }
 
     /// Starts a pausable, forkable run of `plan` (see [`ExecRun`]): the
@@ -711,14 +656,17 @@ impl Simulation {
     ///
     /// Panics if the plan fails validation.
     pub fn run_plan_profiled(&self, plan: &TaskPlan) -> (Report, SpanTrace) {
-        let (report, spans) = self.run_plan_core(plan, None, None, true);
+        let (report, spans) = self.run_plan_observed(plan, None, None, true);
         (report, spans.expect("profiled run returns a span trace"))
     }
 
     /// Runs a plan with any combination of event tracing, metrics
     /// sampling, and (when `profiled`) span recording, in a single
     /// simulation pass. The report is bit-identical whatever
-    /// instrumentation is attached.
+    /// instrumentation is attached. Every non-pausable run entry point
+    /// funnels here and drives an [`ExecRun`] straight to completion, so
+    /// from-scratch runs, forked continuations and loaded runs share one
+    /// event loop by construction.
     ///
     /// # Panics
     ///
@@ -726,25 +674,12 @@ impl Simulation {
     pub fn run_plan_observed(
         &self,
         plan: &TaskPlan,
-        trace: Option<&mut Trace>,
-        metrics: Option<&mut MetricsBuilder>,
-        profiled: bool,
-    ) -> (Report, Option<SpanTrace>) {
-        self.run_plan_core(plan, trace, metrics, profiled)
-    }
-
-    /// All non-pausable run entry points funnel here: drive an
-    /// [`ExecRun`] straight to completion. From-scratch runs and forked
-    /// continuations therefore share one event loop by construction.
-    fn run_plan_core(
-        &self,
-        plan: &TaskPlan,
         mut trace: Option<&mut Trace>,
         mut metrics: Option<&mut MetricsBuilder>,
         profiled: bool,
     ) -> (Report, Option<SpanTrace>) {
         let mut run = ExecRun::start_inner(self, plan, profiled);
-        run.step(None, &mut trace, &mut metrics);
+        run.mq.run(None, &mut trace, &mut metrics);
         run.into_parts()
     }
 }
@@ -770,7 +705,7 @@ fn record(
 }
 
 /// Snapshot of cumulative machine counters, for per-phase deltas.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct PhaseSnapshot {
     cpu_by_tag: BTreeMap<&'static str, Duration>,
     cpu_total: Duration,
@@ -835,48 +770,15 @@ impl PhaseSnapshot {
     }
 }
 
-/// Mid-phase state of a paused [`ExecRun`] beyond its engine: the
-/// phase's event queue, the popped-but-unprocessed event, and the
-/// phase-start counter snapshot.
-#[derive(Clone)]
-struct PhaseRun {
-    q: EventQueue<Ev>,
-    /// An event popped but not yet processed: `run_until` pauses
-    /// *before* processing the first event at or past the limit, and
-    /// the event (already sequenced by its pop) waits here so every
-    /// continuation replays the exact pop order.
-    pending: Option<(SimTime, Ev)>,
-    before: PhaseSnapshot,
-}
-
-/// How one phase's event loop ended.
-enum EventsOutcome {
-    /// The time limit struck; the run is paused at an event boundary.
-    Paused,
-    /// The phase's queue drained: close it with its barrier.
-    Drained,
-    /// The run aborted at this clock.
-    Aborted(SimTime),
-}
-
-/// How starting a phase went.
-enum PhaseStart {
-    /// The phase is live; the mid-phase state is installed.
-    Running,
-    /// The phase ended before its first event (fault abort at or before
-    /// the phase barrier).
-    Aborted { before: PhaseSnapshot, end: SimTime },
-}
-
 /// A pausable, forkable, serializable execution of one plan on one
-/// [`Simulation`]: the solo driver of a [`PhaseEngine`]. Create one
-/// with [`Simulation::start`], advance it with [`run_until`]
+/// [`Simulation`]: a one-query workload on the executor's one driver.
+/// Create one with [`Simulation::start`], advance it with [`run_until`]
 /// (processing every event strictly before the limit), branch what-if
 /// continuations with [`fork`] / [`fork_with_faults`] — each fork
 /// shares the simulated prefix instead of re-running it — and complete
 /// any branch with [`finish`]. Reports from forked continuations are
 /// field-identical to from-scratch runs: both paths drive this same
-/// stepper.
+/// loop.
 ///
 /// [`run_until`]: ExecRun::run_until
 /// [`fork`]: ExecRun::fork
@@ -906,40 +808,23 @@ enum PhaseStart {
 pub struct ExecRun<'p> {
     sim: Simulation,
     plan: &'p TaskPlan,
-    machine: Machine,
-    /// The run's one query: its phase cursor, its in-phase state and a
-    /// fault runtime that carries the run's fault schedule.
-    eng: PhaseEngine,
-    phases: Vec<PhaseReport>,
-    clock: SimTime,
-    events: u64,
-    aborted: bool,
-    cur: Option<PhaseRun>,
-    done: bool,
-    spans: Option<SpanArena>,
+    /// The driver, with the run as its query 0.
+    mq: Mq,
 }
 
 impl<'p> ExecRun<'p> {
     fn start_inner(sim: &Simulation, plan: &'p TaskPlan, profiled: bool) -> Self {
         plan.validate().expect("invalid task plan");
-        let mut machine = Machine::new(&sim.arch);
-        for &(node, count) in &sim.degraded {
-            machine.degrade_disk(node, count);
-        }
-        let fr = FaultRt::new(&sim.faults, sim.recovery, sim.seed, machine.nodes());
         ExecRun {
             sim: sim.clone(),
             plan,
-            machine,
-            eng: PhaseEngine::new(0, fr),
-            phases: Vec::with_capacity(plan.phases.len()),
-            clock: SimTime::ZERO,
-            events: 0,
-            aborted: false,
-            cur: None,
-            done: false,
-            spans: profiled.then(SpanArena::enabled),
+            mq: Mq::one_query(sim, plan, profiled),
         }
+    }
+
+    /// The run's one query.
+    fn query(&self) -> &QueryRun {
+        &self.mq.runs[0]
     }
 
     /// Advances the run until the simulation clock reaches `t`:
@@ -947,31 +832,28 @@ impl<'p> ExecRun<'p> {
     /// boundary falling before `t`, then pauses at an exact event
     /// boundary. Pausing and resuming never changes the final report.
     pub fn run_until(&mut self, t: SimTime) {
-        self.step(Some(t), &mut None, &mut None);
+        self.mq.run(Some(t), &mut None, &mut None);
     }
 
     /// Whether the run has completed (its report is final).
     pub fn is_done(&self) -> bool {
-        self.done
+        self.query().state == QState::Done
     }
 
     /// The simulation clock at the current pause point: the stashed
-    /// event's pop time when paused mid-phase (everything strictly
-    /// before it is simulated), else the last phase boundary.
+    /// event's pop time when one waits (everything strictly before it is
+    /// simulated), else the last phase boundary.
     pub fn paused_at(&self) -> SimTime {
-        match &self.cur {
-            Some(cur) => match &cur.pending {
-                Some((t, _)) => *t,
-                None => self.eng.horizon.max(self.clock),
-            },
-            None => self.clock,
+        match &self.mq.pending {
+            Some((t, _)) => *t,
+            None => self.query().eng.boundary(),
         }
     }
 
     /// Events processed so far (the report's `events` once done),
-    /// including the in-flight phase.
+    /// including a popped event waiting at the pause point.
     pub fn events_so_far(&self) -> u64 {
-        self.events + self.cur.as_ref().map_or(0, |c| c.q.popped())
+        self.mq.popped_work()
     }
 
     /// Forks the run at the current pause point: an independent
@@ -993,14 +875,15 @@ impl<'p> ExecRun<'p> {
     /// different schedule would then diverge from a from-scratch run.
     #[must_use]
     pub fn fork_with_faults(&self, faults: FaultPlan, recovery: RecoveryPolicy) -> ExecRun<'p> {
-        let fr = &self.eng.fr;
+        let f = &self.mq.faults;
         assert!(
-            fr.injected == 0 && fr.next == 0,
+            f.injected == 0 && f.next == 0,
             "cannot swap fault plans: the prefix already consumed fault state"
         );
-        debug_assert!(fr.pool.is_empty() && fr.abort_at.is_none());
+        debug_assert!(self.query().eng.pool.is_empty() && f.abort_at.is_none());
         let mut run = self.clone();
-        run.eng.fr = FaultRt::new(&faults, recovery, run.sim.seed, run.machine.nodes());
+        run.mq.faults = Faults::new(&faults, recovery, run.sim.seed);
+        run.mq.runs[0].eng.policy = recovery;
         run.sim.faults = faults;
         run.sim.recovery = recovery;
         run
@@ -1008,8 +891,7 @@ impl<'p> ExecRun<'p> {
 
     /// Runs to completion and returns the report — field-identical to
     /// [`Simulation::run_plan`] on the same configuration.
-    pub fn finish(mut self) -> Report {
-        self.step(None, &mut None, &mut None);
+    pub fn finish(self) -> Report {
         self.into_parts().0
     }
 
@@ -1019,190 +901,39 @@ impl<'p> ExecRun<'p> {
     ///
     /// Panics if the run was not started with profiling
     /// ([`Simulation::start_profiled`]).
-    pub fn finish_profiled(mut self) -> (Report, SpanTrace) {
-        self.step(None, &mut None, &mut None);
+    pub fn finish_profiled(self) -> (Report, SpanTrace) {
         let (report, spans) = self.into_parts();
         (report, spans.expect("run was started without profiling"))
     }
 
-    /// The single event loop shared by from-scratch runs, paused runs,
-    /// and forked continuations. `limit = None` runs to completion.
-    fn step(
-        &mut self,
-        limit: Option<SimTime>,
-        trace: &mut Option<&mut Trace>,
-        metrics: &mut Option<&mut MetricsBuilder>,
-    ) {
-        while !self.done {
-            if self.cur.is_none() {
-                if self.eng.phase_ix >= self.plan.phases.len() {
-                    self.done = true;
-                    break;
-                }
-                // Pause before starting a phase whose barrier-start
-                // clock has reached the limit.
-                if limit.is_some_and(|l| self.clock >= l) {
-                    return;
-                }
-                if let PhaseStart::Aborted { before, end } = self.start_phase() {
-                    self.finish_phase(before, 0, Some(end));
-                    continue;
-                }
-            }
-            let abort = match self.run_events(limit, trace, metrics) {
-                EventsOutcome::Paused => return,
-                EventsOutcome::Drained => None,
-                EventsOutcome::Aborted(end) => Some(end),
-            };
-            let cur = self.cur.take().expect("phase state present");
-            self.finish_phase(cur.before, cur.q.popped(), abort);
-        }
-    }
-
-    /// Opens the next phase: a fresh queue, barrier-due faults applied,
-    /// and the engine's phase opened and primed.
-    fn start_phase(&mut self) -> PhaseStart {
-        let start = self.clock;
-        let m = &mut self.machine;
-        self.eng.begin(m, self.plan, start);
-        let before = PhaseSnapshot::take(m);
-        let n = m.nodes();
-        // Faults due at or before the barrier strike before any work
-        // starts. The barrier is a synchronization point, so their
-        // failures are already detected when the phase begins.
-        let fr = &mut self.eng.fr;
-        while let Some((_, failed)) = fr.apply_next(m, start) {
-            if let Some(node) = failed {
-                fr.detected[node] = true;
-            }
-        }
-        if let Some(abort) = fr.abort_at {
-            if abort <= start || m.failed_count() == n {
-                return PhaseStart::Aborted {
-                    before,
-                    end: abort.max(start),
-                };
-            }
-        }
-        if m.failed_count() == n {
-            return PhaseStart::Aborted { before, end: start };
-        }
-        // Steady state holds `window` in-flight reads per node plus the
-        // messages they fan out into; pre-size the queue to that depth.
-        let mut q = EventQueue::with_backend_capacity(self.sim.queue_backend, n * (m.window() + 4));
-        if let Some(end) = self
-            .eng
-            .prime(m, &mut q, &mut self.spans.as_mut(), self.plan, start)
-        {
-            return PhaseStart::Aborted { before, end };
-        }
-        self.cur = Some(PhaseRun {
-            q,
-            pending: None,
-            before,
-        });
-        PhaseStart::Running
-    }
-
-    /// Pops and dispatches events of the current phase until the queue
-    /// drains, the run aborts, or the limit strikes.
-    fn run_events(
-        &mut self,
-        limit: Option<SimTime>,
-        trace: &mut Option<&mut Trace>,
-        metrics: &mut Option<&mut MetricsBuilder>,
-    ) -> EventsOutcome {
-        let plan = self.plan;
-        let cur = self.cur.as_mut().expect("phase state present");
-        let m = &mut self.machine;
-        let eng = &mut self.eng;
-        let mut spans = self.spans.as_mut();
-        while let Some((now, ev)) = cur.pending.take().or_else(|| cur.q.pop()) {
-            if limit.is_some_and(|l| now >= l) {
-                // Pause *before* processing: the event keeps its pop
-                // sequencing and waits in the pending slot.
-                cur.pending = Some((now, ev));
-                return EventsOutcome::Paused;
-            }
-            // Faults-off cost: one bounds check per event.
-            while let Some((t, failed)) = eng.fr.apply_next(m, now) {
-                if let Some(node) = failed {
-                    eng.fail_node(&mut cur.q, node, t, now);
-                }
-            }
-            if let Some(abort) = eng.fr.abort_at {
-                if now >= abort {
-                    return EventsOutcome::Aborted(abort);
-                }
-            }
-            // Metrics-off cost: one `Option` discriminant check per event.
-            if let Some(mb) = metrics.as_deref_mut() {
-                if mb.due(now) {
-                    mb.sample(now, &m.resource_usage(), cur.q.len());
-                }
-            }
-            eng.handle(m, &mut cur.q, &mut spans, trace, plan, (now, ev));
-        }
-        // Fail-stop policy with the abort clock beyond the last event:
-        // the survivors drained their queues, but the failed partition
-        // was never re-read — the run still aborts at the detection time.
-        match eng.fr.abort_at {
-            Some(abort) => EventsOutcome::Aborted(abort),
-            None => EventsOutcome::Drained,
-        }
-    }
-
-    /// Ends the open phase — a drained one at its barrier, an aborted
-    /// one at the abort clock with no barrier, because there is no next
-    /// phase — then records the phase report and advances the clock.
-    fn finish_phase(&mut self, before: PhaseSnapshot, phase_events: u64, abort: Option<SimTime>) {
-        let plan = self.plan;
-        let name = plan.phases[self.eng.phase_ix].name;
-        self.events += phase_events;
-        let end = match abort {
-            Some(end) => {
-                self.eng.end_phase(self.spans.is_some(), name, end);
-                end
-            }
-            None => self
-                .eng
-                .close(&self.machine, &mut self.spans.as_mut(), plan),
-        };
-        let after = PhaseSnapshot::take(&self.machine);
-        self.phases
-            .push(before.delta(&after, name, end.since(self.clock), self.machine.nodes()));
-        self.clock = end;
-        if abort.is_some() {
-            self.aborted = true;
-            self.done = true;
-        }
-    }
-
-    /// Builds the final report (and span trace, when profiled) from a
-    /// completed run.
-    fn into_parts(self) -> (Report, Option<SpanTrace>) {
-        debug_assert!(self.done, "into_parts on an unfinished run");
+    /// Runs to completion and builds the report (and span trace, when
+    /// profiled).
+    fn into_parts(mut self) -> (Report, Option<SpanTrace>) {
+        self.mq.run(None, &mut None, &mut None);
+        let mq = self.mq;
+        let m = &mq.machine;
+        let q = mq.runs.into_iter().next().expect("the run's query");
         let report = Report {
             task: self.plan.task,
             architecture: self.sim.arch.short_name(),
-            disks: self.machine.nodes(),
-            phases: self.phases,
-            disk_service: self.machine.disk_service_histogram(),
-            events: self.events,
-            faults_injected: self.eng.fr.injected,
-            recovery_time: self.machine.recovery_busy(),
-            work_redistributed: self.machine.work_redistributed(),
-            aborted: self.aborted,
-            downtime: self.machine.disk_downtime(self.clock),
+            disks: m.nodes(),
+            phases: q.eng.phases,
+            disk_service: m.disk_service_histogram(),
+            events: mq.work_popped,
+            faults_injected: mq.faults.injected,
+            recovery_time: m.recovery_busy(),
+            work_redistributed: m.work_redistributed(),
+            aborted: q.status == QueryStatus::Aborted,
+            downtime: m.disk_downtime(q.finished),
         };
-        let phases = self.eng.phase_spans;
-        let spans = self.spans.map(|arena| SpanTrace { arena, phases });
+        let phases = q.eng.phase_spans;
+        let spans = mq.spans.map(|arena| SpanTrace { arena, phases });
         (report, spans)
     }
 }
 
 impl ExecRun<'_> {
-    /// Serializes the paused run — clock, machine, fault runtime,
+    /// Serializes the paused run — clock, machine, fault state,
     /// finished-phase reports, and (mid-phase) the live event queue,
     /// pending event, per-node progress, and phase-start counter
     /// snapshot — in the exact-integer state codec. Per-batch costs and
@@ -1214,34 +945,57 @@ impl ExecRun<'_> {
     /// disk (fork in memory to keep profiling across a branch point).
     pub fn save_state(&self, w: &mut StateWriter) {
         assert!(
-            self.spans.is_none(),
+            self.mq.spans.is_none(),
             "profiled runs cannot be checkpointed to disk"
         );
-        w.field("clock_ns", self.clock.as_nanos());
-        w.field("events", self.events);
-        w.flag("aborted", self.aborted);
-        w.field("phase_ix", self.eng.phase_ix);
-        w.flag("done", self.done);
-        self.machine.save_state(w);
-        self.eng.fr.save_state(w);
-        w.field("phases_done", self.phases.len());
-        for p in &self.phases {
+        let q = self.query();
+        let eng = &q.eng;
+        let open = q.state == QState::Running;
+        // The format counts the open phase's pops apart from the rest.
+        let before_phase = if open {
+            q.popped_at_open
+        } else {
+            self.mq.popped_work()
+        };
+        w.field("clock_ns", eng.boundary().as_nanos());
+        w.field("events", before_phase);
+        w.flag("aborted", q.status == QueryStatus::Aborted);
+        w.field("phase_ix", eng.phase_ix);
+        w.flag("done", q.state == QState::Done);
+        self.mq.machine.save_state(w);
+        // The fault state: the driver's schedule cursor, RNG, injected
+        // count and abort clock, with the query's recovery view.
+        let f = &self.mq.faults;
+        w.field("fr_next", f.next);
+        w.list("fr_detected", eng.detected.iter().map(|&b| u8::from(b)));
+        w.field("fr_pool", eng.pool.len());
+        for &(origin, bytes) in &eng.pool {
+            w.list("fr_poolent", [origin as u64, bytes]);
+        }
+        w.field("fr_rr", eng.rr);
+        w.field("fr_rng", f.rng.state());
+        w.field("fr_injected", f.injected);
+        w.flag("fr_abort_set", f.abort_at.is_some());
+        let abort_ns = f.abort_at.unwrap_or(SimTime::ZERO).as_nanos();
+        w.field("fr_abort_ns", abort_ns);
+        w.flag("fr_any_dead", eng.any_dead);
+        w.field("phases_done", eng.phases.len());
+        for p in &eng.phases {
             p.save_state(w);
         }
-        w.flag("midphase", self.cur.is_some());
-        if let Some(cur) = &self.cur {
-            w.flag("pending", cur.pending.is_some());
-            if let Some((t, ev)) = &cur.pending {
+        w.flag("midphase", open);
+        if open {
+            w.flag("pending", self.mq.pending.is_some());
+            if let Some((t, ev)) = &self.mq.pending {
                 w.str_field("pending_ev", &format!("{} {}", t.as_nanos(), encode_ev(ev)));
             }
-            let snap = cur.q.snapshot();
-            w.field("q_popped", snap.popped);
+            let snap = self.mq.q.snapshot();
+            w.field("q_popped", self.mq.popped_work() - before_phase);
             w.field("q_last_ns", snap.last_popped.as_nanos());
             w.field("q_len", snap.events.len());
             for (t, ev) in &snap.events {
                 w.str_field("qe", &format!("{} {}", t.as_nanos(), encode_ev(ev)));
             }
-            let eng = &self.eng;
             w.field("horizon_ns", eng.horizon.as_nanos());
             w.field("nodes_n", eng.nodes.len());
             let credits = eng.sched.as_ref().map(|s| {
@@ -1251,7 +1005,7 @@ impl ExecRun<'_> {
             for (i, st) in eng.nodes.iter().enumerate() {
                 save_node_state(st, credits.as_ref().map(|c| &c[i][..]), w);
             }
-            cur.before.save_state(w);
+            eng.before.save_state(w);
         }
     }
 }
@@ -1260,11 +1014,12 @@ impl<'p> ExecRun<'p> {
     /// Rebuilds a paused run from [`ExecRun::save_state`] output. `sim`
     /// and `plan` must be the configuration the state was saved under
     /// (the checkpoint key guarantees this; a mismatched machine shape,
-    /// an event or recovery entry naming a node the machine lacks, or a
-    /// multi-query control event is also caught here as an error). The
-    /// restored queue is freshly built for `sim`'s backend and replays
-    /// the saved pop order exactly, so a checkpoint taken under one
-    /// backend resumes bit-identically under the other.
+    /// an event or recovery entry naming a node the machine lacks, a
+    /// clock that disagrees with the finished phases, or a multi-query
+    /// control event is also caught here as an error). The restored
+    /// queue is freshly built for `sim`'s backend and replays the saved
+    /// pop order exactly, so a checkpoint taken under one backend
+    /// resumes bit-identically under the other.
     pub fn load_state(
         sim: &Simulation,
         plan: &'p TaskPlan,
@@ -1274,26 +1029,84 @@ impl<'p> ExecRun<'p> {
             return Err(StateError::new("invalid task plan"));
         }
         let mut run = ExecRun::start_inner(sim, plan, false);
-        run.clock = SimTime::from_nanos(r.num("clock_ns")?);
-        run.events = r.num("events")?;
-        run.aborted = r.flag("aborted")?;
-        run.eng.phase_ix = r.num("phase_ix")?;
-        run.done = r.flag("done")?;
-        if run.eng.phase_ix > plan.phases.len() {
+        let clock = SimTime::from_nanos(r.num("clock_ns")?);
+        let events: u64 = r.num("events")?;
+        let aborted = r.flag("aborted")?;
+        let phase_ix: usize = r.num("phase_ix")?;
+        let done = r.flag("done")?;
+        if phase_ix > plan.phases.len() {
             return Err(StateError::new("phase cursor out of range"));
         }
-        run.machine.load_state(r)?;
-        run.eng.fr.load_state(r)?;
-        run.phases = r.counted("phases_done", PhaseReport::load_state)?;
-        if run.phases.len() > plan.phases.len() {
+        let mq = &mut run.mq;
+        mq.machine.load_state(r)?;
+        let n = mq.machine.nodes();
+        let (f, q) = (&mut mq.faults, &mut mq.runs[0]);
+        f.next = r.num("fr_next")?;
+        if f.next > f.events.len() {
+            return Err(StateError::new("fault cursor out of range"));
+        }
+        let det: Vec<u8> = r.nums("fr_detected")?;
+        if det.len() != n {
+            return Err(StateError::new("detected-flag count mismatch"));
+        }
+        q.eng.detected = det.iter().map(|&b| b != 0).collect();
+        q.eng.pool = r.counted("fr_pool", |r| match r.nums::<u64>("fr_poolent")?[..] {
+            [origin, bytes] if origin < n as u64 => Ok((origin as usize, bytes)),
+            _ => Err(StateError::new(
+                "fr_poolent: expected `<origin node> <bytes>`",
+            )),
+        })?;
+        q.eng.rr = r.num("fr_rr")?;
+        f.rng = SplitMix64::new(r.num("fr_rng")?);
+        f.injected = r.num("fr_injected")?;
+        let abort_set = r.flag("fr_abort_set")?;
+        let abort_ns: u64 = r.num("fr_abort_ns")?;
+        f.abort_at = abort_set.then(|| SimTime::from_nanos(abort_ns));
+        q.eng.any_dead = r.flag("fr_any_dead")?;
+        q.eng.phases = r.counted("phases_done", PhaseReport::load_state)?;
+        if q.eng.phases.len() > plan.phases.len() {
             return Err(StateError::new("finished-phase count out of range"));
         }
-        if r.flag("midphase")? {
-            if run.eng.phase_ix >= plan.phases.len() {
+        let ended = q
+            .eng
+            .phases
+            .iter()
+            .try_fold(0u64, |sum, p| sum.checked_add(p.elapsed.as_nanos()));
+        if ended != Some(clock.as_nanos()) {
+            return Err(StateError::new("clock disagrees with the finished phases"));
+        }
+        let cap = n * (mq.machine.window() + 4);
+        mq.q = EventQueue::with_backend_capacity(sim.queue_backend, cap);
+        mq.work_popped = events;
+        q.eng.phase_ix = phase_ix;
+        q.popped_at_open = events;
+        mq.running = usize::from(!done);
+        let midphase = r.flag("midphase")?;
+        // A finished run has no open phase: its reader stops short of
+        // mid-phase fields, which then fail the file as left over.
+        if done {
+            q.state = QState::Done;
+            q.finished = clock;
+            if aborted {
+                q.status = QueryStatus::Aborted;
+            }
+        } else if !midphase {
+            // Between phases, the last one's barrier open until the clock.
+            let last = q.eng.phases.last().map_or(0, |p| p.elapsed.as_nanos());
+            q.eng.start = SimTime::from_nanos(clock.as_nanos() - last);
+            q.state = QState::Barrier;
+            mq.q.push(
+                clock,
+                Ev::PhaseStart {
+                    query: 0,
+                    attempt: 0,
+                },
+            );
+        } else {
+            if phase_ix >= plan.phases.len() {
                 return Err(StateError::new("mid-phase state past the last phase"));
             }
-            let phase = &plan.phases[run.eng.phase_ix];
-            let n = run.machine.nodes();
+            let phase = &plan.phases[phase_ix];
             let pending = if r.flag("pending")? {
                 let (t, ev) = parse_timed_ev(r.field("pending_ev")?)?;
                 check_solo_ev(&ev, n)?;
@@ -1303,7 +1116,7 @@ impl<'p> ExecRun<'p> {
             };
             let popped: u64 = r.num("q_popped")?;
             let last_popped = SimTime::from_nanos(r.num("q_last_ns")?);
-            let events = r.counted("q_len", |r| {
+            let queued = r.counted("q_len", |r| {
                 let (t, ev) = parse_timed_ev(r.field("qe")?)?;
                 check_solo_ev(&ev, n)?;
                 if t < last_popped {
@@ -1311,16 +1124,17 @@ impl<'p> ExecRun<'p> {
                 }
                 Ok((t, ev))
             })?;
-            let inflight = events.len() as u64 + u64::from(pending.is_some());
-            let mut q = EventQueue::with_backend_capacity(
-                sim.queue_backend,
-                n * (run.machine.window() + 4),
-            );
-            q.load_snapshot(QueueSnapshot {
-                events,
+            let inflight = queued.len() as u64 + u64::from(pending.is_some());
+            mq.q.load_snapshot(QueueSnapshot {
+                events: queued,
                 popped,
                 last_popped,
             });
+            mq.work_popped = events
+                .checked_add(popped)
+                .and_then(|all| all.checked_sub(u64::from(pending.is_some())))
+                .ok_or_else(|| StateError::new("event counts out of range"))?;
+            mq.pending = pending;
             let horizon = SimTime::from_nanos(r.num("horizon_ns")?);
             let nodes_n: usize = r.num("nodes_n")?;
             if nodes_n != n {
@@ -1350,71 +1164,19 @@ impl<'p> ExecRun<'p> {
                     st.dst_picks = j;
                 }
             }
-            let before = PhaseSnapshot::load_state(r)?;
             // Costs and the phase's derived settings are recomputed,
             // never stored.
-            let eng = &mut run.eng;
-            eng.enter(plan, run.clock);
-            eng.costs = PhaseCosts::new(&run.machine, phase);
+            let eng = &mut q.eng;
+            eng.before = PhaseSnapshot::load_state(r)?;
+            eng.enter(plan, clock);
+            eng.costs = PhaseCosts::new(&mq.machine, phase);
             eng.sched = sched;
             eng.nodes = nodes;
             eng.horizon = horizon;
             eng.inflight = inflight;
-            run.cur = Some(PhaseRun { q, pending, before });
+            q.state = QState::Running;
         }
         Ok(run)
-    }
-}
-
-impl FaultRt {
-    /// Serializes the runtime state (not the schedule, which is rebuilt
-    /// from the fault plan on load).
-    fn save_state(&self, w: &mut StateWriter) {
-        w.field("fr_next", self.next);
-        w.list("fr_detected", self.detected.iter().map(|&b| u8::from(b)));
-        w.field("fr_pool", self.pool.len());
-        for &(origin, bytes) in &self.pool {
-            w.list("fr_poolent", [origin as u64, bytes]);
-        }
-        w.field("fr_rr", self.rr);
-        w.field("fr_rng", self.rng.state());
-        w.field("fr_injected", self.injected);
-        w.flag("fr_abort_set", self.abort_at.is_some());
-        w.field(
-            "fr_abort_ns",
-            self.abort_at.unwrap_or(SimTime::ZERO).as_nanos(),
-        );
-        w.flag("fr_any_dead", self.any_dead);
-    }
-
-    /// Restores runtime state into a `FaultRt` freshly built from the
-    /// same plan, policy, seed, and node count.
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let next: usize = r.num("fr_next")?;
-        if next > self.events.len() {
-            return Err(StateError::new("fault cursor out of range"));
-        }
-        self.next = next;
-        let det: Vec<u8> = r.nums("fr_detected")?;
-        if det.len() != self.detected.len() {
-            return Err(StateError::new("detected-flag count mismatch"));
-        }
-        self.detected = det.iter().map(|&b| b != 0).collect();
-        let nodes = self.detected.len();
-        self.pool = r.counted("fr_pool", |r| match r.nums::<u64>("fr_poolent")?[..] {
-            [origin, bytes] if origin < nodes as u64 => Ok((origin as usize, bytes)),
-            _ => Err(StateError::new(
-                "fr_poolent: expected `<origin node> <bytes>`",
-            )),
-        })?;
-        self.rr = r.num("fr_rr")?;
-        self.rng = SplitMix64::new(r.num("fr_rng")?);
-        self.injected = r.num("fr_injected")?;
-        let abort_set = r.flag("fr_abort_set")?;
-        let abort_ns: u64 = r.num("fr_abort_ns")?;
-        self.abort_at = abort_set.then(|| SimTime::from_nanos(abort_ns));
-        self.any_dead = r.flag("fr_any_dead")?;
-        Ok(())
     }
 }
 
@@ -1475,75 +1237,70 @@ fn encode_ev(ev: &Ev) -> String {
     }
 }
 
-/// Parses [`encode_ev`] output.
+/// Parses [`encode_ev`] output: a tag and the event's fields, each a
+/// number, with nothing left over.
 fn decode_ev(s: &str) -> Result<Ev, StateError> {
-    fn num(
-        it: &mut std::str::SplitWhitespace<'_>,
-        tag: &str,
-        what: &str,
-    ) -> Result<u64, StateError> {
-        it.next()
-            .ok_or_else(|| StateError::new(format!("event `{tag}`: missing {what}")))?
-            .parse()
-            .map_err(|_| StateError::new(format!("event `{tag}`: bad {what}")))
-    }
     let mut it = s.split_whitespace();
     let tag = it.next().ok_or_else(|| StateError::new("empty event"))?;
-    let ev = match tag {
-        "br" => Ev::BatchRead {
-            node: num(&mut it, tag, "node")? as usize,
-            bytes: num(&mut it, tag, "bytes")?,
-            span: SpanId::NONE,
-            query: num(&mut it, tag, "query")? as u32,
+    let f: Vec<u64> = it
+        .map(|v| v.parse())
+        .collect::<Result<_, _>>()
+        .map_err(|_| StateError::new(format!("event `{tag}`: bad field")))?;
+    let span = SpanId::NONE;
+    // A query lane past `u32` reads as `u32::MAX`, which no run has.
+    let node = |i: usize| f[i] as usize;
+    let q = |i: usize| u32::try_from(f[i]).unwrap_or(u32::MAX);
+    Ok(match (tag, f.len()) {
+        ("br", 3) => Ev::BatchRead {
+            node: node(0),
+            bytes: f[1],
+            span,
+            query: q(2),
         },
-        "bp" => Ev::BatchProcessed {
-            node: num(&mut it, tag, "node")? as usize,
-            bytes: num(&mut it, tag, "bytes")?,
-            span: SpanId::NONE,
-            query: num(&mut it, tag, "query")? as u32,
+        ("bp", 3) => Ev::BatchProcessed {
+            node: node(0),
+            bytes: f[1],
+            span,
+            query: q(2),
         },
-        "pa" => Ev::PeerArrive {
-            src: num(&mut it, tag, "src")? as usize,
-            dst: num(&mut it, tag, "dst")? as usize,
-            bytes: num(&mut it, tag, "bytes")?,
-            span: SpanId::NONE,
-            query: num(&mut it, tag, "query")? as u32,
+        ("pa", 4) => Ev::PeerArrive {
+            src: node(0),
+            dst: node(1),
+            bytes: f[2],
+            span,
+            query: q(3),
         },
-        "rp" => Ev::RecvProcessed {
-            node: num(&mut it, tag, "node")? as usize,
-            bytes: num(&mut it, tag, "bytes")?,
-            span: SpanId::NONE,
-            query: num(&mut it, tag, "query")? as u32,
+        ("rp", 3) => Ev::RecvProcessed {
+            node: node(0),
+            bytes: f[1],
+            span,
+            query: q(2),
         },
-        "fe" => Ev::FeArrive {
-            bytes: num(&mut it, tag, "bytes")?,
-            span: SpanId::NONE,
-            query: num(&mut it, tag, "query")? as u32,
+        ("fe", 2) => Ev::FeArrive {
+            bytes: f[0],
+            span,
+            query: q(1),
         },
-        "rk" => Ev::RecoveryKick {
-            node: num(&mut it, tag, "node")? as usize,
-            query: num(&mut it, tag, "query")? as u32,
+        ("rk", 2) => Ev::RecoveryKick {
+            node: node(0),
+            query: q(1),
         },
-        "ad" => Ev::Admit {
-            query: num(&mut it, tag, "query")? as u32,
+        ("ad", 1) => Ev::Admit { query: q(0) },
+        ("ps", 2) => Ev::PhaseStart {
+            query: q(0),
+            attempt: q(1),
         },
-        "ps" => Ev::PhaseStart {
-            query: num(&mut it, tag, "query")? as u32,
-            attempt: num(&mut it, tag, "attempt")? as u32,
+        ("dl", 2) => Ev::Deadline {
+            query: q(0),
+            attempt: q(1),
         },
-        "dl" => Ev::Deadline {
-            query: num(&mut it, tag, "query")? as u32,
-            attempt: num(&mut it, tag, "attempt")? as u32,
-        },
-        "rt" => Ev::Retry {
-            query: num(&mut it, tag, "query")? as u32,
-        },
-        other => return Err(StateError::new(format!("unknown event tag `{other}`"))),
-    };
-    if it.next().is_some() {
-        return Err(StateError::new(format!("event `{tag}`: trailing fields")));
-    }
-    Ok(ev)
+        ("rt", 1) => Ev::Retry { query: q(0) },
+        _ => {
+            return Err(StateError::new(format!(
+                "event `{s}`: unknown tag or field count"
+            )))
+        }
+    })
 }
 
 /// Parses a `<nanos> <event>` line.
@@ -1681,15 +1438,14 @@ fn load_node_state(
 }
 
 /// One query's phase engine: everything a query holds while its phases
-/// run on a machine, and the phase state machine over it. A solo run
-/// ([`ExecRun`]) drives one engine; a loaded run ([`crate::mqexec`])
-/// drives one per query on a shared machine and event queue. Opening a
-/// phase ([`begin`], then [`prime`]), handling its work events
-/// ([`handle`]), tearing down a node that fail-stops mid-phase
-/// ([`fail_node`]) and closing it ([`close`]) each have this one
-/// implementation. What differs between the drivers — when a failure
-/// counts as detected at a phase start, and how a run ends — stays in
-/// the drivers.
+/// run on a machine, and the phase state machine over it. The driver
+/// ([`crate::mqexec`]) runs one engine per query on a shared machine
+/// and event queue; a solo run is its one query. Opening a phase
+/// ([`begin`], then [`prime`]), handling its work events ([`handle`]),
+/// tearing down a node that fail-stops mid-phase ([`fail_node`]) and
+/// closing it ([`close`]) each have this one implementation. When
+/// faults strike, when a failure counts as detected at a phase start,
+/// and how a run ends are the driver's.
 ///
 /// [`begin`]: PhaseEngine::begin
 /// [`prime`]: PhaseEngine::prime
@@ -1704,8 +1460,15 @@ pub(crate) struct PhaseEngine {
     /// Index in the plan of the open phase (of the next one between
     /// phases).
     pub(crate) phase_ix: usize,
-    /// The recovery view of failed nodes (see [`FaultRt`]).
-    pub(crate) fr: FaultRt,
+    /// The query's recovery view: the policy, the failures it has
+    /// detected (peers keep sending to an undetected one), lost batches
+    /// pooled for survivors as `(origin node, bytes)`, the round-robin
+    /// survivor cursor, and a guard set once it has seen a fail-stop.
+    policy: RecoveryPolicy,
+    detected: Vec<bool>,
+    pool: Vec<(usize, u64)>,
+    rr: usize,
+    any_dead: bool,
     /// Per-node progress through the open phase.
     nodes: Vec<NodeState>,
     /// Per-batch costs of the open phase: a pure function of the machine
@@ -1724,7 +1487,9 @@ pub(crate) struct PhaseEngine {
     /// does.
     writes: bool,
     /// When the open phase began (its barrier-start clock).
-    pub(crate) start: SimTime,
+    start: SimTime,
+    /// Machine counters when the open phase began.
+    before: PhaseSnapshot,
     /// The latest completion the open phase has produced.
     horizon: SimTime,
     /// Work events this engine has pushed that have not popped yet.
@@ -1737,27 +1502,82 @@ pub(crate) struct PhaseEngine {
     /// Span window and anchor of every phase ended so far (profiled runs
     /// only).
     pub(crate) phase_spans: Vec<PhaseSpans>,
+    /// Report of every phase ended so far.
+    pub(crate) phases: Vec<PhaseReport>,
 }
 
 impl PhaseEngine {
-    /// An engine on query lane `qid`, before its first phase.
-    pub(crate) fn new(qid: u32, fr: FaultRt) -> Self {
+    /// An engine on query lane `qid` of an `nodes`-node machine, before
+    /// its first phase.
+    pub(crate) fn new(qid: u32, policy: RecoveryPolicy, nodes: usize) -> Self {
         PhaseEngine {
             qid,
             phase_ix: 0,
-            fr,
+            policy,
+            detected: vec![false; nodes],
+            pool: Vec::new(),
+            rr: 0,
+            any_dead: false,
             nodes: Vec::new(),
             costs: PhaseCosts::default(),
             sched: None,
             region: 0,
             writes: false,
             start: SimTime::ZERO,
+            before: PhaseSnapshot::default(),
             horizon: SimTime::ZERO,
             inflight: 0,
             last: SpanId::NONE,
             last_end: SimTime::ZERO,
             phase_spans: Vec::new(),
+            phases: Vec::new(),
         }
+    }
+
+    /// Where the query's phases so far end: the sum of their lengths,
+    /// which is the clock of the boundary a solo run stands at between
+    /// phases (its phases run back to back from time zero).
+    pub(crate) fn boundary(&self) -> SimTime {
+        SimTime::ZERO + self.phases.iter().map(|p| p.elapsed).sum()
+    }
+
+    /// Counts every failed node of `m` as detected: a phase start is a
+    /// synchronization point, so no failure is news there.
+    pub(crate) fn detect_failed(&mut self, m: &Machine) {
+        self.any_dead = m.failed_count() > 0;
+        for (i, d) in self.detected.iter_mut().enumerate() {
+            *d = m.disk_failed(i);
+        }
+    }
+
+    /// Reassigns every pooled batch whose origin's failure is detected,
+    /// round-robin over survivors. Returns the survivors that received
+    /// work.
+    fn assign_detected(&mut self) -> Result<Vec<usize>, NoSurvivor> {
+        let mut touched = Vec::new();
+        let healthy: Vec<usize> = (0..self.nodes.len())
+            .filter(|&i| !self.nodes[i].dead)
+            .collect();
+        let mut i = 0;
+        while i < self.pool.len() {
+            let (origin, bytes) = self.pool[i];
+            if !self.detected[origin] {
+                i += 1;
+                continue;
+            }
+            if healthy.is_empty() {
+                return Err(NoSurvivor);
+            }
+            self.pool.remove(i);
+            let target = healthy[self.rr % healthy.len()];
+            self.rr += 1;
+            self.nodes[target].batches_total += 1;
+            self.nodes[target].recovery_pending.push_back(bytes);
+            if !touched.contains(&target) {
+                touched.push(target);
+            }
+        }
+        Ok(touched)
     }
 
     /// Points the engine at phase `phase_ix` of `plan`, opened at
@@ -1775,11 +1595,13 @@ impl PhaseEngine {
 
     /// Opens phase `phase_ix` of `plan` at `at`, its barrier-start clock:
     /// resets the machine's extent cursors, the phase clocks and the
-    /// span anchor. The driver then applies its failure-detection rule
-    /// and calls [`PhaseEngine::prime`].
+    /// span anchor, and snapshots the machine counters. The driver then
+    /// applies its failure-detection rule and calls
+    /// [`PhaseEngine::prime`].
     pub(crate) fn begin(&mut self, m: &mut Machine, plan: &TaskPlan, at: SimTime) {
         self.enter(plan, at);
         m.begin_phase(self.region);
+        self.before = PhaseSnapshot::take(m);
     }
 
     /// Lays the open phase's reads out over the nodes and fills every
@@ -1789,8 +1611,9 @@ impl PhaseEngine {
     /// previous phase) lives on the surviving disks, so those phases
     /// split across survivors only; base data has fixed placement, so a
     /// dead node's share is pooled and whatever of the pool is already
-    /// detected goes to survivors. Returns the abort clock when no
-    /// survivor remains to take it.
+    /// detected goes to survivors. Under the fail-stop policy such a
+    /// phase issues nothing: its lost share is never re-read, so it
+    /// waits for the abort clock. Fails when no survivor remains.
     pub(crate) fn prime(
         &mut self,
         m: &mut Machine,
@@ -1798,11 +1621,14 @@ impl PhaseEngine {
         spans: &mut Option<&mut SpanArena>,
         plan: &TaskPlan,
         at: SimTime,
-    ) -> Option<SimTime> {
+    ) -> Result<(), NoSurvivor> {
         let phase = &plan.phases[self.phase_ix];
         let n = m.nodes();
-        self.sched = DstSchedule::for_phase(phase, n);
         let failed_now = m.failed_count();
+        if failed_now == n {
+            return Err(NoSurvivor);
+        }
+        self.sched = DstSchedule::for_phase(phase, n);
         let healthy_split = failed_now > 0 && phase.reads_intermediate;
         let split_n = if healthy_split { n - failed_now } else { n } as u64;
         let base_per_node = phase.read_bytes_total / split_n;
@@ -1847,16 +1673,16 @@ impl PhaseEngine {
         if failed_now > 0 && !healthy_split {
             for (i, st) in self.nodes.iter_mut().enumerate() {
                 if st.dead && st.bytes_total > 0 {
-                    self.fr.pool.extend(st.own_batch_sizes(0).map(|b| (i, b)));
+                    self.pool.extend(st.own_batch_sizes(0).map(|b| (i, b)));
                     st.bytes_total = 0;
                     st.batches_total = 0;
                     st.own_batches = 0;
                     st.last_batch_bytes = 0;
                 }
             }
-            self.fr.assign_detected(&mut self.nodes, at);
-            if let Some(abort) = self.fr.abort_at {
-                return Some(abort.max(at));
+            self.assign_detected()?;
+            if self.policy == RecoveryPolicy::FailStop {
+                return Ok(());
             }
         }
         self.costs = PhaseCosts::new(m, phase);
@@ -1866,15 +1692,15 @@ impl PhaseEngine {
                 self.issue_read(m, q, spans, node, at, SpanId::NONE);
             }
         }
-        None
+        Ok(())
     }
 
     /// Handles one popped work event of this engine: the phase's single
-    /// state machine. Control events belong to the loaded driver and
-    /// never reach here. Inlined into each driver's event loop: called
-    /// out of line, `sweep_bench`'s admission probe (a one-query loaded
-    /// 64-disk cluster join against the solo run) read 9-11% instead of
-    /// 2-3%.
+    /// state machine. Control events belong to the driver and never
+    /// reach here. Fails when recovery finds no survivor. Inlined into
+    /// the driver's event loop: called out of line, `sweep_bench`'s
+    /// admission probe (a one-query loaded 64-disk cluster join against
+    /// the solo run) read 9-11% instead of 2-3%.
     #[inline]
     pub(crate) fn handle(
         &mut self,
@@ -1884,7 +1710,7 @@ impl PhaseEngine {
         trace: &mut Option<&mut Trace>,
         plan: &TaskPlan,
         (now, ev): (SimTime, Ev),
-    ) {
+    ) -> Result<(), NoSurvivor> {
         self.inflight -= 1;
         self.horizon = self.horizon.max(now);
         let phase = &plan.phases[self.phase_ix];
@@ -1896,9 +1722,8 @@ impl PhaseEngine {
                 span: ev_span,
                 ..
             } => {
-                if self.fr.any_dead && self.nodes[node].dead {
-                    self.lose(m, q, spans, node, bytes, now);
-                    return;
+                if self.any_dead && self.nodes[node].dead {
+                    return self.lose(m, q, spans, node, bytes, now);
                 }
                 record(
                     trace,
@@ -1935,11 +1760,10 @@ impl PhaseEngine {
                 span: ev_span,
                 ..
             } => {
-                if self.fr.any_dead && self.nodes[node].dead {
+                if self.any_dead && self.nodes[node].dead {
                     // Processed output lost with the node: a survivor
                     // must re-read the underlying batch.
-                    self.lose(m, q, spans, node, bytes, now);
-                    return;
+                    return self.lose(m, q, spans, node, bytes, now);
                 }
                 record(
                     trace,
@@ -1976,12 +1800,12 @@ impl PhaseEngine {
                         (phase.frontend_combinable && node != 0 && !m.restricted_peer_routing())
                             .then(|| {
                                 let mut parent = (node - 1) / 2;
-                                while self.fr.any_dead && parent != 0 && self.nodes[parent].dead {
+                                while self.any_dead && parent != 0 && self.nodes[parent].dead {
                                     parent = (parent - 1) / 2;
                                 }
                                 parent
                             })
-                            .filter(|&p| !(self.fr.any_dead && self.nodes[p].dead));
+                            .filter(|&p| !(self.any_dead && self.nodes[p].dead));
                     match up {
                         Some(parent) => {
                             self.send_peer(m, q, spans, node, parent, now, bytes, ev_span)
@@ -1997,11 +1821,11 @@ impl PhaseEngine {
                 span: ev_span,
                 ..
             } => {
-                if self.fr.any_dead && self.nodes[dst].dead {
+                if self.any_dead && self.nodes[dst].dead {
                     // Receiver gone: the sender times out and re-sends to
                     // the next survivor (unless it has since died too).
                     if self.nodes[src].dead {
-                        return;
+                        return Ok(());
                     }
                     if let Some(dst2) = next_healthy(&self.nodes, dst) {
                         let arrival = m.peer_transfer(now + RETRY_TIMEOUT, src, dst2, bytes);
@@ -2027,7 +1851,7 @@ impl PhaseEngine {
                         };
                         self.push(q, arrival, ev);
                     }
-                    return;
+                    return Ok(());
                 }
                 record(
                     trace,
@@ -2064,8 +1888,8 @@ impl PhaseEngine {
                 span: ev_span,
                 ..
             } => {
-                if self.fr.any_dead && self.nodes[node].dead {
-                    return;
+                if self.any_dead && self.nodes[node].dead {
+                    return Ok(());
                 }
                 record(
                     trace,
@@ -2133,13 +1957,14 @@ impl PhaseEngine {
             Ev::RecoveryKick { node, .. } => {
                 // Request timeouts on the failed node expired: its loss
                 // is now globally known and its partition is reassigned.
-                self.fr.detected[node] = true;
-                self.reassign(m, q, spans, now);
+                self.detected[node] = true;
+                return self.reassign(m, q, spans, now);
             }
             Ev::Admit { .. } | Ev::PhaseStart { .. } | Ev::Deadline { .. } | Ev::Retry { .. } => {
                 unreachable!("control events never reach the phase engine")
             }
         }
+        Ok(())
     }
 
     /// Tears down `node`, which fail-stopped at `t`, as the driver
@@ -2155,33 +1980,25 @@ impl PhaseEngine {
         t: SimTime,
         now: SimTime,
     ) {
-        self.fr.any_dead = true;
+        self.any_dead = true;
         let st = &mut self.nodes[node];
         if st.dead {
             return;
         }
         st.dead = true;
-        self.fr
-            .pool
+        self.pool
             .extend(st.own_batch_sizes(st.issued).map(|b| (node, b)));
-        self.fr
-            .pool
+        self.pool
             .extend(st.recovery_pending.drain(..).map(|b| (node, b)));
         st.batches_total = st.issued;
         st.own_batches = st.issued;
-        if self.fr.policy != RecoveryPolicy::FailStop {
-            self.kick(q, node, (t + DETECT_TIMEOUT).max(now));
+        if self.policy != RecoveryPolicy::FailStop {
+            let kick = Ev::RecoveryKick {
+                node,
+                query: self.qid,
+            };
+            self.push(q, (t + DETECT_TIMEOUT).max(now), kick);
         }
-    }
-
-    /// Schedules the detection of `node`'s failure at `at`, when its
-    /// pooled work is reassigned.
-    pub(crate) fn kick(&mut self, q: &mut EventQueue<Ev>, node: usize, at: SimTime) {
-        let ev = Ev::RecoveryKick {
-            node,
-            query: self.qid,
-        };
-        self.push(q, at, ev);
     }
 
     /// Closes the open phase once its work has drained and returns the
@@ -2223,15 +2040,17 @@ impl PhaseEngine {
         // exactly at `end` on healthy runs), making it the anchor.
         let barrier_end = end + m.barrier_costs().barrier(m.nodes());
         self.synthetic_span(spans, BARRIER_RESOURCE, SpanKind::Barrier, end, barrier_end);
-        self.end_phase(spans.is_some(), phase.name, barrier_end);
+        self.end_phase(m, spans.is_some(), plan, barrier_end);
         barrier_end
     }
 
-    /// Ends the open phase at `end`: records its span window (when
-    /// profiled) and advances the plan cursor. [`PhaseEngine::close`]
-    /// ends a drained phase here; an aborted solo phase ends here
-    /// directly, with no barrier.
-    pub(crate) fn end_phase(&mut self, profiled: bool, name: &'static str, end: SimTime) {
+    /// Ends the open phase at `end`: records its report (the machine's
+    /// counters since the phase began) and, when profiled, its span
+    /// window, then advances the plan cursor. [`PhaseEngine::close`]
+    /// ends a drained phase here; the abort clock ends an open phase
+    /// here directly, with no barrier.
+    pub(crate) fn end_phase(&mut self, m: &Machine, profiled: bool, plan: &TaskPlan, end: SimTime) {
+        let name = plan.phases[self.phase_ix].name;
         if profiled {
             self.phase_spans.push(PhaseSpans {
                 name,
@@ -2240,7 +2059,22 @@ impl PhaseEngine {
                 anchor: self.last,
             });
         }
+        let after = PhaseSnapshot::take(m);
+        let elapsed = end.since(self.start);
+        self.phases
+            .push(self.before.delta(&after, name, elapsed, m.nodes()));
         self.phase_ix += 1;
+    }
+
+    /// Cuts the last ended phase short at `end`: the abort clock struck
+    /// in its positioning tail or barrier, which count as part of it.
+    pub(crate) fn cut_tail(&mut self, end: SimTime) {
+        if let Some(p) = self.phases.last_mut() {
+            p.elapsed = end.since(self.start);
+        }
+        if let Some(w) = self.phase_spans.last_mut() {
+            w.end = end;
+        }
     }
 
     /// Schedules one of this engine's work events, counting it in flight.
@@ -2319,12 +2153,13 @@ impl PhaseEngine {
         node: usize,
         bytes: u64,
         now: SimTime,
-    ) {
+    ) -> Result<(), NoSurvivor> {
         self.nodes[node].issued_bytes -= bytes;
-        self.fr.pool.push((node, bytes));
-        if self.fr.detected[node] {
-            self.reassign(m, q, spans, now);
+        self.pool.push((node, bytes));
+        if self.detected[node] {
+            return self.reassign(m, q, spans, now);
         }
+        Ok(())
     }
 
     /// Hands every pooled batch whose origin's failure is detected to the
@@ -2339,9 +2174,9 @@ impl PhaseEngine {
         q: &mut EventQueue<Ev>,
         spans: &mut Option<&mut SpanArena>,
         now: SimTime,
-    ) {
+    ) -> Result<(), NoSurvivor> {
         let window = m.window() as u64;
-        for node in self.fr.assign_detected(&mut self.nodes, now) {
+        for node in self.assign_detected()? {
             while !self.nodes[node].dead
                 && self.nodes[node].issued < self.nodes[node].batches_total
                 && self.nodes[node]
@@ -2352,6 +2187,7 @@ impl PhaseEngine {
                 self.issue_read(m, q, spans, node, now, SpanId::NONE);
             }
         }
+        Ok(())
     }
 
     /// Issues `node`'s next batch read against the machine and schedules
@@ -2390,8 +2226,7 @@ impl PhaseEngine {
             let ready = m.read(node, now, aligned, self.region, self.writes);
             (ready, Resource::DiskMedia)
         } else {
-            let ready =
-                m.recovery_read(self.fr.policy, node, now, aligned, self.region, self.writes);
+            let ready = m.recovery_read(self.policy, node, now, aligned, self.region, self.writes);
             (ready, Resource::Recovery)
         };
         let ready = ready.max(now);
@@ -2432,7 +2267,7 @@ impl PhaseEngine {
         // before detection they still send and pay the retry at arrival.
         while let Some(emit) = take_batch(&mut self.nodes[node].shuffle_credit, flush) {
             let mut dst = self.nodes[node].pick_dst(self.sched.as_mut(), n);
-            if self.fr.any_dead && self.nodes[dst].dead && self.fr.detected[dst] {
+            if self.any_dead && self.nodes[dst].dead && self.detected[dst] {
                 match next_healthy(&self.nodes, dst) {
                     Some(d) => dst = d,
                     None => continue,

@@ -1,13 +1,13 @@
-//! Multi-query executor: many task plans interleaved deterministically on
-//! one shared [`Machine`], wrapped in an overload-robustness control plane.
+//! The executor's one driver: many task plans interleaved
+//! deterministically on one shared [`Machine`], wrapped in an
+//! overload-robustness control plane. A solo run is a one-query workload
+//! on it ([`crate::ExecRun`] is its façade).
 //!
-//! Each query runs on its own `PhaseEngine` from [`crate::exec`], the
-//! same engine a solo run drives: the same code opens, handles, fails
-//! and closes every phase. `Mq` is the loaded driver around the engines.
-//! It owns the shared machine and event queue, dispatches each work
-//! event to the engine of the query it names, and closes a phase once
-//! that engine has no work in flight. Around that it adds the control
-//! plane:
+//! Each query runs on its own `PhaseEngine` from [`crate::exec`]: the
+//! same code opens, handles, fails and closes every phase. `Mq` owns the
+//! shared machine and event queue, dispatches each work event to the
+//! engine of the query it names, and closes a phase once that engine has
+//! no work in flight. Around that it adds the control plane:
 //!
 //! - **Admission control** ([`AdmissionPolicy`]): at most `max_concurrent`
 //!   queries execute at once; up to `queue_limit` wait in FIFO order; any
@@ -18,11 +18,25 @@
 //!   from the restart for retries) is torn down, waits a seeded
 //!   exponential backoff, and restarts from its first phase; after
 //!   `max_retries` timeouts it finishes as [`QueryStatus::TimedOut`] with
-//!   the phases it completed preserved as a partial report.
-//! - **Fault interaction**: one global fault schedule drives the shared
-//!   machine; a fail-stop tears the node down in every running query's
-//!   engine, each of which recovers under the run's policy without
-//!   corrupting the others.
+//!   the phases it completed preserved as a partial report. A deadline
+//!   past the end of the clock is never armed, and a query whose restart
+//!   would fall past it ends `TimedOut` at the deadline that expired.
+//! - **Faults**: one fault schedule drives the shared machine under one
+//!   rule, written once in the driver's event loop (`Mq::run`):
+//!   1. Faults act in time order. Before it handles any popped event,
+//!      control events included, the driver applies every fault due by
+//!      then and tears the failed node down in each query that has a
+//!      phase open. A query in a positioning tail or barrier meets the
+//!      failure at its next phase start.
+//!   2. A phase start detects failures: a query opening a phase counts
+//!      every failed node as detected. A failure that strikes mid-phase
+//!      is detected `DETECT_TIMEOUT` after it strikes.
+//!   3. An abort clock halts the run. A `failstop` fail-stop sets it at
+//!      the fault time plus `DETECT_TIMEOUT`; an engine that finds no
+//!      survivor reports it and the clock is set at once. Once it is set
+//!      no phase closes and no query completes. At the clock every live
+//!      query ends `Aborted`, its open phase (a tail and barrier count as
+//!      open) ending there.
 //!
 //! # Determinism
 //!
@@ -37,36 +51,12 @@
 //!
 //! - The machine's per-phase extent allocators are shared: every query
 //!   phase start calls `begin_phase`, resetting the layout cursors
-//!   exactly as the single-query path does. Concurrent queries therefore
-//!   contend for disk arms, CPU, and links but not for disk capacity
-//!   layout; a one-query workload is bit-identical to `run_plan`.
+//!   exactly as a solo run does. Concurrent queries therefore contend for
+//!   disk arms, CPU, and links but not for disk capacity layout.
 //! - A query in backoff keeps its admission slot until it finishes: its
 //!   stale in-flight events must drain from the shared machine before the
 //!   retry restarts, and modelling the slot as released mid-drain would
 //!   let the admission gate overcommit the machine.
-//! - Failure detection under load is clock-based for every query: a
-//!   fail-stop counts as detected `DETECT_TIMEOUT` after injection, at a
-//!   phase start as mid-phase. A solo run instead applies the faults due
-//!   by a phase start at its barrier and counts them as detected there.
-//!   Faults struck at 25-75% of the run give a one-query workload the
-//!   solo run's exact elapsed time and phases
-//!   (`one_query_workload_matches_solo_run`); the two rules part in three
-//!   measured cases:
-//!   - A fail-stop at t = 0 under `redistribute`: the solo run detects it
-//!     at its first phase start, the loaded query waits `DETECT_TIMEOUT`.
-//!     Active sort at 16 disks takes 436.795 s solo and 436.035 s loaded.
-//!   - A `failstop`-policy fail-stop that strikes after the last phase's
-//!     reads have drained: the solo run aborts at detection, the loaded
-//!     query completes. On dmine at 16 disks, Active takes 252.130 s
-//!     (aborted) solo and 251.631 s (completed) loaded; Cluster and SMP
-//!     part the same way.
-//!   - A fail-stop that strikes after a phase's last event, in its
-//!     positioning tail or barrier: the solo run applies it at its next
-//!     phase start (after its last phase, never), the loaded driver at
-//!     the next event it pops (for a lone query, its `PhaseStart`). SMP
-//!     sort at 4 disks with `disk:1@1062.116s` under `failstop` completes
-//!     solo at 1180.130 s with no fault injected, and aborts loaded at
-//!     1062.616 s.
 
 use std::collections::VecDeque;
 
@@ -75,10 +65,11 @@ use simcore::{Duration, EventQueue, SimTime, SplitMix64};
 use tasks::plan::TaskPlan;
 use tasks::{plan_task, TaskKind};
 
-use crate::exec::{Ev, FaultRt, PhaseEngine, Simulation};
-use crate::faults::{FaultPlan, RecoveryPolicy, DETECT_TIMEOUT};
+use crate::exec::{Ev, Faults, PhaseEngine, Simulation};
 use crate::machine::Machine;
+use crate::metrics::MetricsBuilder;
 use crate::profile::{LoadSpanTrace, QuerySpans};
+use crate::trace::Trace;
 use crate::workload::{AdmissionPolicy, ArrivalProcess, DeadlinePolicy, WorkloadSpec};
 
 /// Terminal status of one query in a loaded run.
@@ -261,13 +252,16 @@ impl LoadReport {
 
 /// Control-plane state of one query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QState {
+pub(crate) enum QState {
     /// Arrival event not yet popped.
     Pending,
     /// Admitted to the wait queue, no execution slot yet.
     Waiting,
-    /// Executing phases on the machine.
+    /// A phase is open on the machine.
     Running,
+    /// The open phase closed; its positioning tail and barrier run
+    /// until the query's `PhaseStart`.
+    Barrier,
     /// Timed out; waiting for backoff to elapse and stale in-flight
     /// events to drain before restarting.
     AwaitRetry,
@@ -275,73 +269,166 @@ enum QState {
     Done,
 }
 
-/// One query of a loaded run: its phase engine plus its control-plane
+/// One query of a run: its phase engine plus its control-plane
 /// bookkeeping.
 #[derive(Clone)]
-struct QueryRun {
-    task: TaskKind,
+pub(crate) struct QueryRun {
     plan_ix: usize,
     arrival: SimTime,
     started: Option<SimTime>,
     attempt: u32,
-    /// The query's phase engine. Its fault runtime holds only the
-    /// query's recovery view: the global schedule in [`Mq::fs`] drives
-    /// the shared machine.
-    eng: PhaseEngine,
-    state: QState,
-    status: QueryStatus,
+    /// The query's phase engine, holding the query's recovery view of
+    /// failed nodes; the driver's [`Faults`] drive the shared machine.
+    pub(crate) eng: PhaseEngine,
+    pub(crate) state: QState,
+    pub(crate) status: QueryStatus,
     retry_armed: bool,
     retries: u32,
     timeouts: u32,
-    finished: SimTime,
+    pub(crate) finished: SimTime,
     events: u64,
-    phases_done: Vec<QueryPhase>,
+    /// Work events the run had popped when the open phase began.
+    pub(crate) popped_at_open: u64,
+    /// The abort clock ended the query's last phase: its outcome lists
+    /// only the phases before it.
+    cut: bool,
 }
 
-/// The multi-query driver: one shared machine, one event queue, one
-/// phase engine per query. `Clone` is the fork primitive: a warm prefix
-/// is cloned once per what-if continuation (see [`WarmStart`]).
+/// The executor's one driver: one shared machine, one event queue, one
+/// phase engine per query, and one event loop ([`Mq::run`]). A solo run
+/// is a one-query workload on it. `Clone` is the fork primitive: a warm
+/// prefix is cloned once per what-if continuation (see [`WarmStart`]).
 #[derive(Clone)]
-struct Mq {
-    machine: Machine,
-    q: EventQueue<Ev>,
-    runs: Vec<QueryRun>,
-    plans: Vec<TaskPlan>,
-    /// Task kind of each entry in `plans`, so later queries reuse the
-    /// plan of a kind already planned.
-    kinds: Vec<TaskKind>,
-    /// Global fault schedule driving the shared machine.
-    fs: FaultRt,
-    /// Per-node detection clock (fault time + `DETECT_TIMEOUT`).
-    detect_at: Vec<Option<SimTime>>,
+pub(crate) struct Mq {
+    pub(crate) machine: Machine,
+    pub(crate) q: EventQueue<Ev>,
+    /// An event popped but not yet processed: a pause stops *before*
+    /// processing the first event at or past its limit, and the event
+    /// (already sequenced by its pop) waits here so every continuation
+    /// replays the exact pop order.
+    pub(crate) pending: Option<(SimTime, Ev)>,
+    pub(crate) runs: Vec<QueryRun>,
+    /// Each plan with its task kind (`None` for an explicit plan), so
+    /// later queries reuse the plan of a kind already planned.
+    plans: Vec<(Option<TaskKind>, TaskPlan)>,
+    /// The fault schedule driving the shared machine, and the abort
+    /// clock.
+    pub(crate) faults: Faults,
     adm: AdmissionPolicy,
     dl: DeadlinePolicy,
-    running: usize,
+    pub(crate) running: usize,
     waiting: VecDeque<u32>,
     /// Next query a closed-loop client issues when one finishes.
     next_closed: usize,
     closed: bool,
     backoff_rng: SplitMix64,
-    spans: Option<SpanArena>,
-    /// Time of the last processed event — the fork origin.
-    clock: SimTime,
-    /// Set by a global fail-stop abort: every query is terminal and the
-    /// remaining queue contents are stale, so `step` must not resume.
+    pub(crate) spans: Option<SpanArena>,
+    /// Work events popped so far, not counting one that waits in
+    /// `pending`.
+    pub(crate) work_popped: u64,
+    /// Set when the abort clock strikes: every query is terminal and the
+    /// remaining queue contents are stale, so `run` must not resume.
     halted: bool,
 }
 
 impl Mq {
-    /// Processes every queued event and its consequences until the
-    /// queue drains.
-    fn run_to_idle(&mut self) {
+    /// A driver on a fresh machine for `sim`, with nothing queued; its
+    /// queue is sized for `queries` queries.
+    fn new(
+        sim: &Simulation,
+        adm: AdmissionPolicy,
+        dl: DeadlinePolicy,
+        queries: usize,
+        profiled: bool,
+    ) -> Mq {
+        let mut machine = Machine::new(sim.architecture());
+        for &(node, count) in sim.degraded_disks() {
+            machine.degrade_disk(node, count);
+        }
+        // Steady state: every running query holds a full read window per
+        // node plus its fan-out, and each query owns at most one control
+        // event of each kind.
+        let slots = machine.nodes() * (machine.window() + 4);
+        let cap = adm.max_concurrent.min(queries) * slots + 2 * queries + 64;
+        Mq {
+            q: EventQueue::with_backend_capacity(sim.queue_backend(), cap),
+            machine,
+            pending: None,
+            runs: Vec::with_capacity(queries),
+            plans: Vec::new(),
+            faults: Faults::new(sim.fault_plan(), sim.recovery_policy(), sim.seed()),
+            adm,
+            dl,
+            running: 0,
+            waiting: VecDeque::new(),
+            next_closed: 0,
+            closed: false,
+            // Decorrelate the backoff jitter stream from the machine's
+            // seeded models without a second seed knob.
+            backoff_rng: SplitMix64::new(sim.seed() ^ 0x9E37_79B9_7F4A_7C15),
+            spans: profiled.then(SpanArena::enabled),
+            work_popped: 0,
+            halted: false,
+        }
+    }
+
+    /// A driver with `workload`'s arrivals queued but nothing processed.
+    fn workload(
+        sim: &Simulation,
+        workload: &WorkloadSpec,
+        adm: AdmissionPolicy,
+        dl: DeadlinePolicy,
+        profiled: bool,
+    ) -> Mq {
+        assert!(workload.queries > 0, "workload needs at least one query");
+        let mut mq = Mq::new(sim, adm, dl, workload.queries as usize, profiled);
+        mq.add_workload(sim, workload, Duration::ZERO);
+        mq
+    }
+
+    /// A driver with `plan` as its one query, arriving at time zero: the
+    /// shape of every solo run.
+    pub(crate) fn one_query(sim: &Simulation, plan: &TaskPlan, profiled: bool) -> Mq {
+        let (adm, dl) = (AdmissionPolicy::default(), DeadlinePolicy::default());
+        let mut mq = Mq::new(sim, adm, dl, 1, profiled);
+        mq.plans.push((None, plan.clone()));
+        mq.push_query(0, SimTime::ZERO);
+        mq.q.push(SimTime::ZERO, Ev::Admit { query: 0 });
+        mq
+    }
+
+    /// The run's one event loop: processes events until the queue drains
+    /// or, with a `limit`, until the next event is at or past it. Trace
+    /// rows come from the engines' work events and metrics samples are
+    /// taken before each work event; both observers are optional. The
+    /// module docs give the fault rule it applies.
+    pub(crate) fn run(
+        &mut self,
+        limit: Option<SimTime>,
+        trace: &mut Option<&mut Trace>,
+        metrics: &mut Option<&mut MetricsBuilder>,
+    ) {
         if self.halted {
             return;
         }
-        while let Some((now, ev)) = self.q.pop() {
-            self.clock = now;
-            self.apply_global_faults(now);
-            if let Some(abort) = self.fs.abort_at {
+        while let Some((now, ev)) = self.pending.take().or_else(|| self.q.pop()) {
+            if limit.is_some_and(|l| now >= l) {
+                self.pending = Some((now, ev));
+                return;
+            }
+            // Faults-off cost: one bounds check per event.
+            while let Some((t, failed)) = self.faults.apply_next(&mut self.machine, now) {
+                if let Some(node) = failed {
+                    for run in &mut self.runs {
+                        if run.state == QState::Running {
+                            run.eng.fail_node(&mut self.q, node, t, now);
+                        }
+                    }
+                }
+            }
+            if let Some(abort) = self.faults.abort_at {
                 if now >= abort {
+                    self.work_popped += u64::from(ev.work_query().is_some());
                     self.abort_all(abort);
                     return;
                 }
@@ -353,12 +440,20 @@ impl Mq {
                 }
                 Ev::Deadline { query, attempt } => self.on_deadline(query as usize, attempt, now),
                 Ev::Retry { query } => self.on_retry(query as usize, now),
-                ev => self.on_work(now, ev),
+                ev => {
+                    // Metrics-off cost: one `Option` check per event.
+                    if let Some(mb) = metrics.as_deref_mut() {
+                        if mb.due(now) {
+                            mb.sample(now, &self.machine.resource_usage(), self.q.len());
+                        }
+                    }
+                    self.on_work(now, ev, trace);
+                }
             }
         }
-        // Fail-stop abort clock beyond the last event: the queue drained
-        // before the detection fired, but the run still aborts there.
-        if let Some(abort) = self.fs.abort_at {
+        // The queue drained before the abort clock: the run still
+        // aborts there.
+        if let Some(abort) = self.faults.abort_at {
             self.abort_all(abort);
         }
         debug_assert!(
@@ -367,63 +462,53 @@ impl Mq {
         );
     }
 
-    /// Applies globally-scheduled faults due at or before `now` to the
-    /// shared machine, and tears each fail-stopped node down in every
-    /// running query's engine.
-    fn apply_global_faults(&mut self, now: SimTime) {
-        while let Some((t, failed)) = self.fs.apply_next(&mut self.machine, now) {
-            let Some(node) = failed else {
-                continue;
-            };
-            // Survivors detect a whole-disk loss DETECT_TIMEOUT after
-            // injection, for every query alike.
-            self.detect_at[node] = Some(t + DETECT_TIMEOUT);
-            for run in &mut self.runs {
-                if run.state == QState::Running {
-                    run.eng.fail_node(&mut self.q, node, t, now);
-                }
-            }
-        }
+    /// Work events popped so far, one waiting in `pending` included.
+    pub(crate) fn popped_work(&self) -> u64 {
+        let waiting = self.pending.as_ref().and_then(|(_, ev)| ev.work_query());
+        self.work_popped + u64::from(waiting.is_some())
     }
 
-    /// Terminates every live query at the global fail-stop abort clock.
+    /// Ends every live query `Aborted` at the abort clock, with its open
+    /// phase — or the tail and barrier of its last one — ending there.
     fn abort_all(&mut self, abort: SimTime) {
         self.halted = true;
         for run in &mut self.runs {
-            if run.state != QState::Done {
-                run.state = QState::Done;
-                run.status = QueryStatus::Aborted;
-                run.finished = abort.max(run.arrival);
+            match run.state {
+                QState::Done => continue,
+                QState::Running => {
+                    let plan = &self.plans[run.plan_ix].1;
+                    let profiled = self.spans.is_some();
+                    run.eng.end_phase(&self.machine, profiled, plan, abort);
+                }
+                QState::Barrier => run.eng.cut_tail(abort),
+                QState::Pending | QState::Waiting | QState::AwaitRetry => {}
             }
+            run.cut = matches!(run.state, QState::Running | QState::Barrier);
+            run.state = QState::Done;
+            run.status = QueryStatus::Aborted;
+            run.finished = abort.max(run.arrival);
+        }
+    }
+
+    /// Queues attempt `attempt`'s deadline, `from` plus the policy's
+    /// deadline. A deadline past the end of the clock is never armed.
+    fn arm_deadline(&mut self, qid: usize, attempt: u32, from: SimTime) {
+        if let Some(at) = self.dl.deadline.and_then(|d| from.checked_add(d)) {
+            let query = qid as u32;
+            self.q.push(at, Ev::Deadline { query, attempt });
         }
     }
 
     fn on_admit(&mut self, qid: usize, now: SimTime) {
         debug_assert_eq!(self.runs[qid].state, QState::Pending);
         if self.running < self.adm.max_concurrent {
-            if let Some(d) = self.dl.deadline {
-                self.q.push(
-                    now + d,
-                    Ev::Deadline {
-                        query: qid as u32,
-                        attempt: 0,
-                    },
-                );
-            }
+            self.arm_deadline(qid, 0, now);
             self.running += 1;
             self.start_attempt(qid, now);
         } else if self.waiting.len() < self.adm.queue_limit {
             // The first attempt's deadline runs from admission, so time
             // spent waiting for a slot counts against it.
-            if let Some(d) = self.dl.deadline {
-                self.q.push(
-                    now + d,
-                    Ev::Deadline {
-                        query: qid as u32,
-                        attempt: 0,
-                    },
-                );
-            }
+            self.arm_deadline(qid, 0, now);
             self.runs[qid].state = QState::Waiting;
             self.waiting.push_back(qid as u32);
         } else {
@@ -436,93 +521,69 @@ impl Mq {
     /// fresh deadline for retries (attempt 0 was armed at admission).
     fn start_attempt(&mut self, qid: usize, at: SimTime) {
         let run = &mut self.runs[qid];
-        run.state = QState::Running;
         run.started = run.started.or(Some(at));
         run.eng.phase_ix = 0;
         run.eng.phase_spans.clear();
-        run.phases_done.clear();
-        if run.attempt > 0 {
-            if let Some(d) = self.dl.deadline {
-                self.q.push(
-                    at + d,
-                    Ev::Deadline {
-                        query: qid as u32,
-                        attempt: run.attempt,
-                    },
-                );
-            }
+        run.eng.phases.clear();
+        let attempt = run.attempt;
+        if attempt > 0 {
+            self.arm_deadline(qid, attempt, at);
         }
         self.start_phase(qid, at);
     }
 
-    /// Opens the query's next phase on the shared machine. Detection is
-    /// clock-based: a failure counts as detected here once its detection
-    /// clock has passed, and one still undetected gets its recovery kick
-    /// at that clock.
+    /// Opens the query's next phase on the shared machine. A phase start
+    /// detects failures: every failed node counts as detected. When no
+    /// survivor remains the abort clock strikes at once.
     fn start_phase(&mut self, qid: usize, at: SimTime) {
-        let n = self.machine.nodes();
         let run = &mut self.runs[qid];
-        run.eng
-            .begin(&mut self.machine, &self.plans[run.plan_ix], at);
-        if self.machine.failed_count() == n {
-            self.finalize(qid, QueryStatus::Aborted, at);
-            return;
-        }
-        let run = &mut self.runs[qid];
-        let fr = &mut run.eng.fr;
-        fr.any_dead = self.machine.failed_count() > 0;
-        for i in 0..n {
-            fr.detected[i] =
-                self.machine.disk_failed(i) && self.detect_at[i].is_some_and(|t| t <= at);
-        }
-        let plan = &self.plans[run.plan_ix];
+        run.state = QState::Running;
+        run.popped_at_open = self.work_popped;
+        let plan = &self.plans[run.plan_ix].1;
+        run.eng.begin(&mut self.machine, plan, at);
+        run.eng.detect_failed(&self.machine);
         let spans = &mut self.spans.as_mut();
-        if let Some(t) = run
+        if run
             .eng
             .prime(&mut self.machine, &mut self.q, spans, plan, at)
+            .is_err()
         {
-            self.finalize(qid, QueryStatus::Aborted, t);
-            return;
-        }
-        if run.eng.fr.any_dead && run.eng.fr.policy != RecoveryPolicy::FailStop {
-            for i in 0..n {
-                if self.machine.disk_failed(i) && !run.eng.fr.detected[i] {
-                    if let Some(t) = self.detect_at[i] {
-                        run.eng.kick(&mut self.q, i, t.max(at));
-                    }
-                }
-            }
-        }
-        if run.eng.inflight == 0 {
+            self.faults.abort(at);
+        } else if run.eng.inflight == 0 && self.faults.abort_at.is_none() {
             // Degenerate phase (nothing to read): complete immediately.
             self.complete_phase(qid);
         }
     }
 
     /// Hands one popped work event to the engine of the query it names.
-    fn on_work(&mut self, now: SimTime, ev: Ev) {
+    #[inline]
+    fn on_work(&mut self, now: SimTime, ev: Ev, trace: &mut Option<&mut Trace>) {
         let qid = ev.work_query().expect("work event carries a query") as usize;
+        self.work_popped += 1;
         let run = &mut self.runs[qid];
         run.events += 1;
         match run.state {
             QState::Running => {
-                let plan = &self.plans[run.plan_ix];
+                let plan = &self.plans[run.plan_ix].1;
                 let spans = &mut self.spans.as_mut();
-                run.eng.handle(
-                    &mut self.machine,
-                    &mut self.q,
-                    spans,
-                    &mut None,
-                    plan,
-                    (now, ev),
-                );
-                if run.eng.inflight == 0 {
+                let m = &mut self.machine;
+                if run
+                    .eng
+                    .handle(m, &mut self.q, spans, trace, plan, (now, ev))
+                    .is_err()
+                {
+                    self.faults.abort(now);
+                }
+                // Under a set abort clock no phase closes: a drained
+                // phase waits for the clock.
+                if run.eng.inflight == 0 && self.faults.abort_at.is_none() {
                     self.complete_phase(qid);
                 }
             }
-            QState::AwaitRetry => {
-                // Stale drain from the torn-down attempt; machine charges
-                // already accrued (wasted work is real under overload).
+            QState::AwaitRetry | QState::Done => {
+                // Stale drain from a torn-down attempt, dropped; machine
+                // charges already accrued (wasted work is real under
+                // overload). An armed retry restarts once it is over.
                 run.eng.inflight -= 1;
                 if run.eng.inflight == 0 && run.retry_armed {
                     run.attempt += 1;
@@ -530,12 +591,8 @@ impl Mq {
                     self.start_attempt(qid, now);
                 }
             }
-            QState::Done => {
-                // Stale drain past a terminal timeout/abort: dropped.
-                run.eng.inflight -= 1;
-            }
-            QState::Pending | QState::Waiting => {
-                unreachable!("work event for a query that never started")
+            QState::Pending | QState::Waiting | QState::Barrier => {
+                unreachable!("work event for a query with no phase open")
             }
         }
     }
@@ -545,13 +602,9 @@ impl Mq {
     /// the barrier.
     fn complete_phase(&mut self, qid: usize) {
         let run = &mut self.runs[qid];
-        let plan = &self.plans[run.plan_ix];
-        let name = plan.phases[run.eng.phase_ix].name;
+        let plan = &self.plans[run.plan_ix].1;
         let end = run.eng.close(&self.machine, &mut self.spans.as_mut(), plan);
-        run.phases_done.push(QueryPhase {
-            name,
-            elapsed: end.since(run.eng.start),
-        });
+        run.state = QState::Barrier;
         self.q.push(
             end,
             Ev::PhaseStart {
@@ -564,14 +617,16 @@ impl Mq {
     fn on_phase_start(&mut self, qid: usize, attempt: u32, now: SimTime) {
         let run = &self.runs[qid];
         // Stale barrier from a torn-down attempt.
-        if run.state != QState::Running || run.attempt != attempt {
+        if run.state != QState::Barrier || run.attempt != attempt {
             return;
         }
-        if run.eng.phase_ix == self.plans[run.plan_ix].phases.len() {
-            self.finalize(qid, QueryStatus::Completed, now);
-        } else {
+        if run.eng.phase_ix < self.plans[run.plan_ix].1.phases.len() {
             self.start_phase(qid, now);
+        } else if self.faults.abort_at.is_none() {
+            self.finalize(qid, QueryStatus::Completed, now);
         }
+        // Under a set abort clock no query completes: this one ends at
+        // the clock with its barrier still open.
     }
 
     fn on_deadline(&mut self, qid: usize, attempt: u32, now: SimTime) {
@@ -585,18 +640,23 @@ impl Mq {
                 }
                 self.finalize(qid, QueryStatus::TimedOut, now);
             }
-            QState::Running if run.attempt == attempt => {
+            QState::Running | QState::Barrier if run.attempt == attempt => {
                 run.timeouts += 1;
-                if run.attempt < self.dl.max_retries {
-                    run.retries += 1;
-                    run.state = QState::AwaitRetry;
-                    run.retry_armed = false;
-                    let wait = self.dl.backoff_for(run.attempt + 1, &mut self.backoff_rng);
-                    self.q.push(now + wait, Ev::Retry { query: qid as u32 });
-                } else {
-                    // Retry budget exhausted: finish with the partial
-                    // phase report intact.
-                    self.finalize(qid, QueryStatus::TimedOut, now);
+                let restart = (run.attempt < self.dl.max_retries)
+                    .then(|| self.dl.backoff_for(run.attempt + 1, &mut self.backoff_rng))
+                    .flatten()
+                    .and_then(|wait| now.checked_add(wait));
+                match restart {
+                    Some(at) => {
+                        run.retries += 1;
+                        run.state = QState::AwaitRetry;
+                        run.retry_armed = false;
+                        self.q.push(at, Ev::Retry { query: qid as u32 });
+                    }
+                    // Retry budget exhausted, or the restart falls past
+                    // the end of the clock: finish with the partial phase
+                    // report intact.
+                    None => self.finalize(qid, QueryStatus::TimedOut, now),
                 }
             }
             // Stale deadline (attempt already retired) — ignore.
@@ -625,7 +685,10 @@ impl Mq {
     /// query.
     fn finalize(&mut self, qid: usize, status: QueryStatus, at: SimTime) {
         let run = &mut self.runs[qid];
-        let held_slot = matches!(run.state, QState::Running | QState::AwaitRetry);
+        let held_slot = matches!(
+            run.state,
+            QState::Running | QState::Barrier | QState::AwaitRetry
+        );
         run.state = QState::Done;
         run.status = status;
         run.finished = at;
@@ -649,10 +712,18 @@ impl Mq {
     /// queues their admissions: every Poisson arrival at once, or the
     /// first `clients` queries of a closed loop (each completion then
     /// admits the next).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shifted arrival falls past the end of the clock.
     fn add_workload(&mut self, sim: &Simulation, spec: &WorkloadSpec, shift: Duration) {
         let base = self.runs.len();
         for (task, arrival) in spec.tasks().into_iter().zip(spec.arrival_times()) {
-            self.add_query(sim, task, arrival + shift);
+            let plan_ix = self.plan_of(sim, task);
+            let arrival = arrival
+                .checked_add(shift)
+                .expect("shifted arrival past the end of the clock");
+            self.push_query(plan_ix, arrival);
         }
         let first = match spec.arrival {
             ArrivalProcess::Poisson { .. } => spec.queries as usize,
@@ -666,29 +737,30 @@ impl Mq {
         self.closed = matches!(spec.arrival, ArrivalProcess::Closed { .. });
     }
 
-    /// Appends one pending query of `task` arriving at `arrival`,
-    /// planning `task` on its first use.
-    fn add_query(&mut self, sim: &Simulation, task: TaskKind, arrival: SimTime) {
-        let plan_ix = self
-            .kinds
+    /// The index in `plans` of `task`'s plan, planning it on first use.
+    fn plan_of(&mut self, sim: &Simulation, task: TaskKind) -> usize {
+        self.plans
             .iter()
-            .position(|&k| k == task)
+            .position(|(k, _)| *k == Some(task))
             .unwrap_or_else(|| {
                 let plan = plan_task(task, sim.architecture());
                 plan.validate().expect("invalid task plan");
-                self.plans.push(plan);
-                self.kinds.push(task);
-                self.kinds.len() - 1
-            });
+                self.plans.push((Some(task), plan));
+                self.plans.len() - 1
+            })
+    }
+
+    /// Appends one pending query running `plans[plan_ix]`, arriving at
+    /// `arrival`.
+    fn push_query(&mut self, plan_ix: usize, arrival: SimTime) {
         let n = self.machine.nodes();
-        let fr = FaultRt::new(&FaultPlan::new(), sim.recovery_policy(), sim.seed(), n);
+        let policy = self.faults.policy;
         self.runs.push(QueryRun {
-            task,
             plan_ix,
             arrival,
             started: None,
             attempt: 0,
-            eng: PhaseEngine::new(self.runs.len() as u32, fr),
+            eng: PhaseEngine::new(self.runs.len() as u32, policy, n),
             state: QState::Pending,
             status: QueryStatus::Completed,
             retry_armed: false,
@@ -696,7 +768,8 @@ impl Mq {
             timeouts: 0,
             finished: SimTime::ZERO,
             events: 0,
-            phases_done: Vec::new(),
+            popped_at_open: 0,
+            cut: false,
         });
     }
 }
@@ -736,55 +809,9 @@ impl Simulation {
         deadline: DeadlinePolicy,
         profiled: bool,
     ) -> (LoadReport, Option<LoadSpanTrace>) {
-        let mut mq = self.mq_setup(workload, admission, deadline, profiled);
-        mq.run_to_idle();
+        let mut mq = Mq::workload(self, workload, admission, deadline, profiled);
+        mq.run(None, &mut None, &mut None);
         self.collect_load(mq, workload.summary(), admission, deadline)
-    }
-
-    /// Builds the multi-query driver with `workload`'s arrivals queued
-    /// but nothing processed.
-    fn mq_setup(
-        &self,
-        workload: &WorkloadSpec,
-        admission: AdmissionPolicy,
-        deadline: DeadlinePolicy,
-        profiled: bool,
-    ) -> Mq {
-        assert!(workload.queries > 0, "workload needs at least one query");
-        let mut machine = Machine::new(self.architecture());
-        for &(node, count) in self.degraded_disks() {
-            machine.degrade_disk(node, count);
-        }
-        let n = machine.nodes();
-        let fs = FaultRt::new(self.fault_plan(), self.recovery_policy(), self.seed(), n);
-        let queries = workload.queries as usize;
-        // Steady state: every running query holds a full read window per
-        // node plus its fan-out, and each query owns at most one control
-        // event of each kind.
-        let cap = admission.max_concurrent * n * (machine.window() + 4) + 2 * queries + 64;
-        let mut mq = Mq {
-            machine,
-            q: EventQueue::with_backend_capacity(self.queue_backend(), cap),
-            runs: Vec::with_capacity(queries),
-            plans: Vec::new(),
-            kinds: Vec::new(),
-            fs,
-            detect_at: vec![None; n],
-            adm: admission,
-            dl: deadline,
-            running: 0,
-            waiting: VecDeque::new(),
-            next_closed: 0,
-            closed: false,
-            // Decorrelate the backoff jitter stream from the machine's
-            // seeded models without a second seed knob.
-            backoff_rng: SplitMix64::new(self.seed() ^ 0x9E37_79B9_7F4A_7C15),
-            spans: profiled.then(SpanArena::enabled),
-            clock: SimTime::ZERO,
-            halted: false,
-        };
-        mq.add_workload(self, workload, Duration::ZERO);
-        mq
     }
 
     /// Turns a drained driver into its report (and span trace, when
@@ -803,20 +830,34 @@ impl Simulation {
             .map(|r| r.finished)
             .max()
             .unwrap_or(SimTime::ZERO);
+        let task = |r: &QueryRun| {
+            mq.plans[r.plan_ix]
+                .0
+                .expect("workload queries run planned tasks")
+        };
+        // An outcome lists the phases that completed: not one the abort
+        // clock ended.
+        let completed = |r: &QueryRun| r.eng.phases.len() - usize::from(r.cut);
         let outcomes = mq
             .runs
             .iter()
             .enumerate()
             .map(|(i, r)| QueryOutcome {
                 query: i as u32,
-                task: r.task,
+                task: task(r),
                 arrival: r.arrival,
                 started: r.started,
                 finished: r.finished,
                 status: r.status,
                 retries: r.retries,
                 timeouts: r.timeouts,
-                phases: r.phases_done.clone(),
+                phases: r.eng.phases[..completed(r)]
+                    .iter()
+                    .map(|p| QueryPhase {
+                        name: p.name,
+                        elapsed: p.elapsed,
+                    })
+                    .collect(),
                 events: r.events,
             })
             .collect();
@@ -829,7 +870,7 @@ impl Simulation {
             outcomes,
             elapsed: end.since(SimTime::ZERO),
             events: mq.q.popped(),
-            faults_injected: mq.fs.injected,
+            faults_injected: mq.faults.injected,
             work_redistributed: mq.machine.work_redistributed(),
             downtime: mq.machine.disk_downtime(end),
         };
@@ -841,8 +882,8 @@ impl Simulation {
                 .enumerate()
                 .map(|(i, r)| QuerySpans {
                     query: i as u32,
-                    task: r.task,
-                    phases: r.eng.phase_spans.clone(),
+                    task: task(r),
+                    phases: r.eng.phase_spans[..completed(r)].to_vec(),
                 })
                 .collect(),
         });
@@ -865,7 +906,7 @@ impl Simulation {
         deadline: DeadlinePolicy,
     ) -> WarmStart {
         WarmStart {
-            mq: self.mq_setup(warmup, admission, deadline, false),
+            mq: Mq::workload(self, warmup, admission, deadline, false),
             sim: self.clone(),
             workload: warmup.summary(),
             admission,
@@ -894,13 +935,13 @@ impl WarmStart {
     /// Drains every queued arrival and its consequences — the warmup
     /// segment runs to completion and the clock parks at its last event.
     pub fn run_to_idle(&mut self) {
-        self.mq.run_to_idle();
+        self.mq.run(None, &mut None, &mut None);
     }
 
     /// The fork origin: the time of the last processed event. Extended
     /// arrivals land strictly after it.
     pub fn origin(&self) -> SimTime {
-        self.mq.clock
+        self.mq.q.now()
     }
 
     /// Forks the paused run: an independent continuation sharing this
@@ -920,9 +961,20 @@ impl WarmStart {
     /// by `origin + 1ns`). Because the warmup queue is idle at the
     /// origin, the continuation's event interleaving is identical
     /// whether the prefix was simulated in this process or forked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` has no queries or a shifted arrival falls past
+    /// the end of the clock.
     pub fn extend(&mut self, spec: &WorkloadSpec) {
         assert!(spec.queries > 0, "extension needs at least one query");
-        let shift = self.mq.clock.since(SimTime::ZERO) + Duration::from_nanos(1);
+        let shift = self
+            .mq
+            .q
+            .now()
+            .checked_add(Duration::from_nanos(1))
+            .expect("warm prefix ends at the end of the clock")
+            .since(SimTime::ZERO);
         self.mq.add_workload(&self.sim, spec, shift);
         self.workload = format!("{} + {}", self.workload, spec.summary());
     }
@@ -932,7 +984,7 @@ impl WarmStart {
     /// slice `outcomes` at [`WarmStart::measured_from`] for the measured
     /// segment).
     pub fn finish(mut self) -> LoadReport {
-        self.mq.run_to_idle();
+        self.mq.run(None, &mut None, &mut None);
         let (report, _) =
             self.sim
                 .collect_load(self.mq, self.workload, self.admission, self.deadline);
@@ -954,11 +1006,11 @@ mod tests {
     /// faults struck at 25-75% of the healthy run, under every recovery
     /// policy on every architecture. Where a fail-stop policy aborts, the
     /// solo report keeps the aborted phase and the loaded query ends
-    /// `Aborted` at the same clock. (The module docs list the cases
-    /// where the two drivers' detection rules part.)
+    /// `Aborted` at the same clock. Then one row per case the one fault
+    /// rule moved, each pinned to its value.
     #[test]
     fn one_query_workload_matches_solo_run() {
-        use crate::faults::{FaultPlan, RecoveryPolicy};
+        use crate::faults::{FaultPlan, RecoveryPolicy, DETECT_TIMEOUT};
         let tasks = [TaskKind::Sort, TaskKind::Join, TaskKind::DataMine];
         let policies = [
             RecoveryPolicy::FailStop,
@@ -1011,6 +1063,92 @@ mod tests {
             }
         }
         assert!(aborts > 0, "the grid must exercise fail-stop aborts");
+
+        // Where the one fault rule moved a one-query workload: each row
+        // runs as the solo run does, to the value pinned here.
+        let end_of = |arch: Architecture, task| Simulation::new(arch).run(task).elapsed();
+        let ms = Duration::from_millis;
+        let drained = end_of(Architecture::smp(4), TaskKind::Aggregate) - ms(1);
+        let unissued = end_of(Architecture::cluster(4), TaskKind::Select) - ms(300);
+        let tail = ms(1_094_003);
+        let rows = [
+            // A fail-stop at t = 0 is detected when the first phase opens.
+            (
+                Architecture::active_disks(4),
+                TaskKind::Sort,
+                FaultPlan::new().disk_fail_stop(1, Duration::ZERO),
+                RecoveryPolicy::Redistribute,
+                QueryStatus::Completed,
+                Duration::from_nanos(1_874_463_546_221),
+            ),
+            // The survivors drain before the failure is detected: no
+            // query completes once the abort clock is set.
+            (
+                Architecture::smp(4),
+                TaskKind::Aggregate,
+                FaultPlan::new().disk_fail_stop(1, drained),
+                RecoveryPolicy::FailStop,
+                QueryStatus::Aborted,
+                drained + DETECT_TIMEOUT,
+            ),
+            // The failed node still has unissued reads when the
+            // survivors drain: the phase stays open until the abort
+            // clock, so byte conservation is never checked short.
+            (
+                Architecture::cluster(4),
+                TaskKind::Select,
+                FaultPlan::new().disk_fail_stop(1, unissued),
+                RecoveryPolicy::FailStop,
+                QueryStatus::Aborted,
+                unissued + DETECT_TIMEOUT,
+            ),
+            // Every node lost: the engine that finds no survivor sets the
+            // abort clock at once.
+            (
+                Architecture::active_disks(2),
+                TaskKind::Select,
+                FaultPlan::new()
+                    .disk_fail_stop(0, ms(1_000))
+                    .disk_fail_stop(1, ms(2_000)),
+                RecoveryPolicy::Redistribute,
+                QueryStatus::Aborted,
+                ms(2_500),
+            ),
+            // A fault after the last phase's last event, in its
+            // positioning tail: applied at the barrier, ending the merge
+            // phase at the abort clock.
+            (
+                Architecture::active_disks(4),
+                TaskKind::Sort,
+                FaultPlan::new().disk_fail_stop(1, tail),
+                RecoveryPolicy::FailStop,
+                QueryStatus::Aborted,
+                tail + DETECT_TIMEOUT,
+            ),
+        ];
+        for (arch, task, plan, policy, status, latency) in rows {
+            let case = format!(
+                "{} {task:?} {policy:?} {}",
+                arch.short_name(),
+                plan.summary()
+            );
+            let sim = Simulation::new(arch)
+                .with_fault_plan(plan)
+                .with_recovery(policy);
+            let solo = sim.run(task);
+            let load = sim.run_workload(
+                &one_query(task),
+                AdmissionPolicy::default(),
+                DeadlinePolicy::default(),
+            );
+            assert_same_run(&solo, &load.outcomes[0], &case);
+            assert_eq!(
+                (load.outcomes[0].status, solo.elapsed()),
+                (status, latency),
+                "{case}"
+            );
+            assert!(solo.faults_injected > 0, "{case}: the fault is injected");
+        }
     }
 
     /// One solo report and the outcome of the same query run alone under
@@ -1029,6 +1167,44 @@ mod tests {
         for (qp, sp) in q.phases.iter().zip(&solo.phases) {
             assert_eq!((qp.name, qp.elapsed), (sp.name, sp.elapsed), "{case}");
         }
+    }
+
+    /// A `failstop` fail-stop in a two-query workload that strikes while
+    /// the first query still has unissued reads on the failed node, and
+    /// the survivors drain before the failure is detected: no phase
+    /// closes, and both queries end `Aborted` at the abort clock.
+    #[test]
+    fn failstop_with_unissued_reads_aborts_a_two_query_workload() {
+        use crate::faults::{FaultPlan, RecoveryPolicy, DETECT_TIMEOUT};
+        let healthy = Simulation::new(Architecture::cluster(4));
+        let w = WorkloadSpec::closed(2, 2).with_mix(vec![(TaskKind::Select, 1)]);
+        let (adm, dl) = (AdmissionPolicy::default(), DeadlinePolicy::default());
+        let end = healthy.run_workload(&w, adm, dl).elapsed;
+        let at = end - Duration::from_millis(300);
+        let sim = healthy
+            .with_fault_plan(FaultPlan::new().disk_fail_stop(1, at))
+            .with_recovery(RecoveryPolicy::FailStop);
+        let report = sim.run_workload(&w, adm, dl);
+        assert_eq!(report.aborted(), 2, "{report:?}");
+        for q in &report.outcomes {
+            assert_eq!(q.finished, SimTime::ZERO + at + DETECT_TIMEOUT);
+            assert!(q.phases.is_empty(), "no phase closes: {q:?}");
+        }
+        assert_eq!(report.faults_injected, 1);
+    }
+
+    /// An admission limit far beyond the workload sizes the event queue
+    /// by the queries that exist, not by the limit.
+    #[test]
+    fn admission_limit_past_the_workload_runs() {
+        let sim = Simulation::new(Architecture::active_disks(2));
+        let w = WorkloadSpec::closed(1, 2).with_mix(vec![(TaskKind::Select, 1)]);
+        let adm = AdmissionPolicy {
+            max_concurrent: usize::MAX,
+            queue_limit: 0,
+        };
+        let report = sim.run_workload(&w, adm, DeadlinePolicy::default());
+        assert_eq!(report.completed(), 2);
     }
 
     #[test]

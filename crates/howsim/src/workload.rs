@@ -431,10 +431,17 @@ impl DeadlinePolicy {
     }
 
     /// The seeded backoff before retry attempt `attempt` (1-based):
-    /// `backoff * 2^(attempt-1)` plus up to 50% jitter drawn from `rng`.
-    pub(crate) fn backoff_for(&self, attempt: u32, rng: &mut SplitMix64) -> Duration {
-        let doubled = self.backoff * (1u64 << (attempt - 1).min(20));
-        doubled + doubled.scale(0.5 * rng.next_f64())
+    /// `backoff * 2^(attempt-1)` plus up to 50% jitter drawn from `rng`,
+    /// or `None` when that does not fit the clock.
+    pub(crate) fn backoff_for(&self, attempt: u32, rng: &mut SplitMix64) -> Option<Duration> {
+        let doubled = self
+            .backoff
+            .as_nanos()
+            .checked_mul(1u64 << (attempt - 1).min(20))?;
+        let jitter = Duration::from_nanos(doubled).scale(0.5 * rng.next_f64());
+        doubled
+            .checked_add(jitter.as_nanos())
+            .map(Duration::from_nanos)
     }
 }
 
@@ -541,12 +548,28 @@ mod tests {
         let mut rng = SplitMix64::new(9);
         for attempt in 1..=3u32 {
             let base = Duration::from_secs(2) * (1u64 << (attempt - 1));
-            let b = dl.backoff_for(attempt, &mut rng);
+            let b = dl.backoff_for(attempt, &mut rng).expect("fits the clock");
             assert!(
                 b >= base && b <= base + base.scale(0.5),
                 "attempt {attempt}: {b}"
             );
         }
+    }
+
+    #[test]
+    fn backoff_past_the_clock_is_none() {
+        let dl = DeadlinePolicy {
+            deadline: Some(Duration::from_secs(1)),
+            max_retries: 3,
+            backoff: Duration::from_nanos(u64::MAX / 2 + 1),
+        };
+        let mut rng = SplitMix64::new(9);
+        assert_eq!(dl.backoff_for(2, &mut rng), None, "the doubling wraps");
+        let dl = DeadlinePolicy {
+            backoff: Duration::from_nanos(u64::MAX),
+            ..dl
+        };
+        assert_eq!(dl.backoff_for(1, &mut rng), None, "the jitter wraps");
     }
 
     #[test]

@@ -81,6 +81,33 @@ fn profiled_fork_keeps_the_critical_path() {
 /// A 16-node cluster join whose repartitioning is skewed by hashing
 /// Zipf(1.0) keys over 100 k distinct values: every shuffle message is
 /// routed by the phase's weighted-fair schedule.
+/// A pause in the last phase's positioning tail waits at the final
+/// barrier, where a fail-stop that struck in the tail is applied: a
+/// checkpoint there resumes to the scratch run's abort, with the merge
+/// phase cut short at the abort clock.
+#[test]
+fn checkpoint_in_the_final_tail_resumes_to_the_tail_fault() {
+    let arch = Architecture::active_disks(4);
+    let plan = tasks::plan_task(TaskKind::Sort, &arch);
+    let fault = FaultPlan::new().disk_fail_stop(1, Duration::from_millis(1_094_003));
+    let sim = Simulation::new(arch)
+        .with_fault_plan(fault)
+        .with_recovery(RecoveryPolicy::FailStop);
+    let scratch = sim.run_plan(&plan);
+    assert!(scratch.aborted);
+    assert_eq!(scratch.elapsed(), Duration::from_millis(1_094_503));
+    let at = SimTime::ZERO + Duration::from_millis(1_094_001);
+    let mut run = sim.start(&plan);
+    run.run_until(at);
+    assert!(!run.is_done(), "the run waits at its final barrier");
+    let path = tmp("tail");
+    checkpoint::write_file(&path, &sim, &plan, at, &run).unwrap();
+    let restored = checkpoint::read_file(&path, &sim, &plan).expect("valid checkpoint restores");
+    assert_eq!(restored.finish(), scratch, "resumed");
+    assert_eq!(run.finish(), scratch, "paused in memory");
+    let _ = std::fs::remove_file(&path);
+}
+
 fn skewed_join() -> (Simulation, TaskPlan) {
     let arch = Architecture::cluster(16);
     let mut plan = tasks::plan_task(TaskKind::Join, &arch);

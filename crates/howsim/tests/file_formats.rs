@@ -4,16 +4,20 @@
 //! checksum, which must be clean misses rather than panics.
 //!
 //! The fixtures are `active_disks(4)` select (`.report`), a 3-query
-//! closed workload on `active_disks(4)` (`.load`), and that select paused
-//! at half its elapsed time (`.ckpt`). A format change that does not bump
-//! its schema fails here.
+//! closed workload on `active_disks(4)` (`.load`), that select paused at
+//! half its elapsed time (`.ckpt`), and a faulted two-phase mview paused
+//! between a disk failure and its detection (`.ckpt`). A format change
+//! that does not bump its schema fails here.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use arch::Architecture;
 use howsim::cache::{self, CacheStats};
-use howsim::{checkpoint, AdmissionPolicy, DeadlinePolicy, Simulation, WorkloadSpec};
+use howsim::{
+    checkpoint, AdmissionPolicy, DeadlinePolicy, FaultPlan, RecoveryPolicy, Simulation,
+    WorkloadSpec,
+};
 use simcore::state::{fnv1a64, open, seal};
 use simcore::{Duration, SimTime};
 use tasks::{plan_task, TaskKind, TaskPlan};
@@ -150,6 +154,59 @@ fn ckpt_fixture_resumes_to_a_fresh_run_and_reencodes_identically() {
     let mut paused = sim.start(&plan);
     paused.run_until(at);
     let out = scratch_dir("ckpt").join("again.ckpt");
+    for (run, what) in [(&restored, "the decoded run"), (&paused, "a fresh pause")] {
+        checkpoint::write_file(&out, &sim, &plan, at, run).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&out).unwrap(),
+            bytes,
+            "{what} re-encodes"
+        );
+    }
+    assert_eq!(
+        restored.finish(),
+        sim.run_plan(&plan),
+        "resumes to a fresh run"
+    );
+    let _ = std::fs::remove_dir_all(out.parent().unwrap());
+}
+
+/// The paused run of `howsim checkpoint --arch active --disks 4 --task
+/// mview --fault disk:1@128s --recovery redistribute --at 128.25s`: one
+/// finished phase, then mid-`merge-views` after node 1 failed at 128 s
+/// and before its detection at 128.5 s, with the failed node's batches
+/// pooled, the fault cursor past its one fault and the recovery kick
+/// queued.
+#[test]
+fn faulted_ckpt_fixture_resumes_to_a_fresh_run_and_reencodes_identically() {
+    let arch = Architecture::active_disks(4);
+    let plan = plan_task(TaskKind::MaterializedView, &arch);
+    let sim = Simulation::new(arch)
+        .with_fault_plan(FaultPlan::parse_spec("disk:1@128s").unwrap())
+        .with_recovery(RecoveryPolicy::Redistribute);
+    let at = SimTime::ZERO + Duration::from_millis(128_250);
+    let name = "mview-active4-fault.ckpt";
+    let bytes = fixture(name);
+    for (line, what) in [
+        ("phases_done 1", "one finished phase"),
+        ("midphase 1", "a mid-phase pause"),
+        ("fr_injected 1", "the fault applied"),
+        ("fr_pool 102", "the failed node's batches pooled"),
+        ("fr_detected 0 0 0 0", "the failure not yet detected"),
+    ] {
+        assert!(
+            bytes.contains(&format!("\n{line}\n")),
+            "fixture holds {what}"
+        );
+    }
+    assert!(
+        bytes.contains(" rk 1 0\n"),
+        "fixture queues the recovery kick"
+    );
+    let restored =
+        checkpoint::read_file(&fixture_path(name), &sim, &plan).expect("fixture resumes");
+    let mut paused = sim.start(&plan);
+    paused.run_until(at);
+    let out = scratch_dir("ckpt-fault").join("again.ckpt");
     for (run, what) in [(&restored, "the decoded run"), (&paused, "a fresh pause")] {
         checkpoint::write_file(&out, &sim, &plan, at, run).unwrap();
         assert_eq!(

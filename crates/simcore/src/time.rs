@@ -92,6 +92,14 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
+
+    /// The instant `d` after this one, or `None` past the end of the
+    /// clock (`self + d` wraps there).
+    #[must_use]
+    #[inline]
+    pub fn checked_add(self, d: Duration) -> Option<SimTime> {
+        self.0.checked_add(d.0).map(SimTime)
+    }
 }
 
 impl Duration {
@@ -394,6 +402,20 @@ mod tests {
         assert_eq!(
             (t + Duration::from_nanos(500)).since(t),
             Duration::from_nanos(500)
+        );
+    }
+
+    #[test]
+    fn checked_add_stops_at_the_end_of_the_clock() {
+        let last = SimTime::from_nanos(u64::MAX);
+        assert_eq!(
+            SimTime::from_nanos(u64::MAX - 1).checked_add(Duration::from_nanos(1)),
+            Some(last)
+        );
+        assert_eq!(last.checked_add(Duration::from_nanos(1)), None);
+        assert_eq!(
+            SimTime::from_nanos(1).checked_add(Duration::from_nanos(u64::MAX)),
+            None
         );
     }
 
