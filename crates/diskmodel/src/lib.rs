@@ -16,6 +16,8 @@
 //!   sequential are served at media rate without re-paying seek+rotation,
 //!   the dominant regime for decision-support scans.
 //! * **Controller and bus overheads**.
+//! * **FIFO queueing** — a request starts when the drive finishes the
+//!   one before it; requests are never reordered.
 //!
 //! # Example
 //!
@@ -37,7 +39,6 @@ pub mod cache;
 pub mod defects;
 pub mod disk;
 pub mod geometry;
-pub mod queue;
 pub mod seek;
 pub mod spec;
 pub mod validation;
@@ -45,7 +46,6 @@ pub mod validation;
 pub use defects::DefectMap;
 pub use disk::{Completion, Disk, Request, RequestKind};
 pub use geometry::{Geometry, Location};
-pub use queue::{Discipline, RequestQueue};
 pub use seek::SeekCurve;
 pub use spec::DiskSpec;
 pub use validation::{validate, ValidationReport};

@@ -9,28 +9,23 @@
 //! to change where its input streams come from or where its output streams
 //! go to."
 //!
-//! This crate models those restrictions and the resources DiskOS manages:
+//! The simulator models the two DiskOS parameters that change timing:
 //!
-//! * [`DiskletSpec`] — a disklet's declared streams and scratch needs,
-//!   checked against the sandbox at initialization (allocation is only
-//!   possible then, never at run time).
-//! * [`Sandbox`] — the memory accounting: scratch + stream buffers must fit
-//!   in the disk's DRAM after the DiskOS footprint.
-//! * **Stream buffers** — the OS buffers used for inter-device
-//!   communication. Per the paper's memory-scaling experiments, a 64 MB
-//!   disk doubles and a 128 MB disk quadruples the buffer count of the
-//!   32 MB baseline, letting larger configurations "tolerate longer
-//!   communication and I/O latencies".
-//! * Scheduling overheads for dispatching disklet invocations.
+//! * **Stream buffers** ([`Sandbox`]) — the OS buffers used for
+//!   inter-device communication. Per the paper's memory-scaling
+//!   experiments, a 64 MB disk doubles and a 128 MB disk quadruples the
+//!   buffer count of the 32 MB baseline, letting larger configurations
+//!   "tolerate longer communication and I/O latencies".
+//! * The per-invocation dispatch overhead ([`DISPATCH_OVERHEAD`]).
+//!
+//! The restrictions themselves (no I/O, no allocation, fixed streams) hold
+//! by construction: the executor issues every I/O and routes every stream.
+//! Disklet admission and scratch-space accounting are not modelled.
 
 #![warn(missing_docs)]
 
 use hostos::MemoryBudget;
 use simcore::Duration;
-
-/// The stream batch size used by the DiskOS stream layer (matches the
-/// paper's 256 KB large-I/O discipline).
-pub const STREAM_BUFFER_BYTES: u64 = 256 * 1024;
 
 /// Baseline number of inter-device communication buffers on a 32 MB disk.
 pub const BASE_COMM_BUFFERS: usize = 16;
@@ -39,112 +34,11 @@ pub const BASE_COMM_BUFFERS: usize = 16;
 /// entry); small by design of the DiskOS executive.
 pub const DISPATCH_OVERHEAD: Duration = Duration::from_micros(5);
 
-/// A disklet's declared resource needs. Streams and scratch are fixed at
-/// initialization; a disklet can never grow them afterwards.
-///
-/// # Example
-///
-/// ```
-/// use diskos::{DiskletSpec, Sandbox};
-///
-/// let spec = DiskletSpec::new("filter", 1, 1, 1 << 20);
-/// let mut sandbox = Sandbox::for_disk_memory(32 << 20);
-/// assert!(sandbox.admit(&spec).is_ok());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiskletSpec {
-    name: &'static str,
-    input_streams: usize,
-    output_streams: usize,
-    scratch_bytes: u64,
-}
-
-impl DiskletSpec {
-    /// Declares a disklet with its stream arity and scratch-space request.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the disklet declares no streams at all.
-    pub fn new(
-        name: &'static str,
-        input_streams: usize,
-        output_streams: usize,
-        scratch_bytes: u64,
-    ) -> Self {
-        assert!(
-            input_streams + output_streams > 0,
-            "a disklet must declare at least one stream"
-        );
-        DiskletSpec {
-            name,
-            input_streams,
-            output_streams,
-            scratch_bytes,
-        }
-    }
-
-    /// The disklet's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Declared input streams.
-    pub fn input_streams(&self) -> usize {
-        self.input_streams
-    }
-
-    /// Declared output streams.
-    pub fn output_streams(&self) -> usize {
-        self.output_streams
-    }
-
-    /// Requested scratch space in bytes.
-    pub fn scratch_bytes(&self) -> u64 {
-        self.scratch_bytes
-    }
-
-    /// Memory the DiskOS must reserve to run this disklet: scratch plus
-    /// double-buffered stream buffers for each declared stream.
-    pub fn footprint(&self) -> u64 {
-        self.scratch_bytes
-            + 2 * (self.input_streams + self.output_streams) as u64 * STREAM_BUFFER_BYTES
-    }
-}
-
-/// Errors from sandbox admission.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdmitError {
-    /// The disklet's footprint exceeds the memory available to disklets.
-    ScratchTooLarge {
-        /// Bytes requested (footprint).
-        requested: u64,
-        /// Bytes available.
-        available: u64,
-    },
-}
-
-impl std::fmt::Display for AdmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AdmitError::ScratchTooLarge {
-                requested,
-                available,
-            } => write!(
-                f,
-                "disklet footprint {requested} B exceeds available {available} B"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for AdmitError {}
-
-/// The DiskOS memory sandbox for one Active Disk.
+/// The DiskOS memory sandbox for one Active Disk: its communication
+/// buffer pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sandbox {
-    budget: MemoryBudget,
     comm_buffers: usize,
-    reserved: u64,
 }
 
 impl Sandbox {
@@ -158,70 +52,15 @@ impl Sandbox {
     ///
     /// Panics if `dram_bytes` is not larger than the DiskOS footprint.
     pub fn for_disk_memory(dram_bytes: u64) -> Self {
-        let budget = MemoryBudget::active_disk(dram_bytes);
+        MemoryBudget::active_disk(dram_bytes);
         let scale = dram_bytes as f64 / (32 << 20) as f64;
         let comm_buffers = ((BASE_COMM_BUFFERS as f64 * scale) as usize).max(1);
-        Sandbox {
-            budget,
-            comm_buffers,
-            reserved: 0,
-        }
+        Sandbox { comm_buffers }
     }
 
     /// Number of OS buffers available for inter-device communication.
     pub fn comm_buffers(&self) -> usize {
         self.comm_buffers
-    }
-
-    /// Bytes held by the communication buffer pool.
-    pub fn comm_pool_bytes(&self) -> u64 {
-        self.comm_buffers as u64 * STREAM_BUFFER_BYTES
-    }
-
-    /// Memory available for disklet scratch + streams (after DiskOS and
-    /// the communication pool).
-    pub fn available(&self) -> u64 {
-        self.budget
-            .usable()
-            .saturating_sub(self.comm_pool_bytes())
-            .saturating_sub(self.reserved)
-    }
-
-    /// Admits a disklet, reserving its footprint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdmitError::ScratchTooLarge`] if the footprint does not
-    /// fit; the caller must then restructure the computation to stage
-    /// through memory (the paper's "aggressively pipelined partial
-    /// results" discipline).
-    pub fn admit(&mut self, spec: &DiskletSpec) -> Result<(), AdmitError> {
-        let need = spec.footprint();
-        let avail = self.available();
-        if need > avail {
-            return Err(AdmitError::ScratchTooLarge {
-                requested: need,
-                available: avail,
-            });
-        }
-        self.reserved += need;
-        Ok(())
-    }
-
-    /// Releases a previously admitted disklet's footprint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more is released than was reserved.
-    pub fn release(&mut self, spec: &DiskletSpec) {
-        let need = spec.footprint();
-        assert!(need <= self.reserved, "release without matching admit");
-        self.reserved -= need;
-    }
-
-    /// Total DRAM on this disk.
-    pub fn dram_total(&self) -> u64 {
-        self.budget.total()
     }
 }
 
@@ -240,58 +79,6 @@ mod tests {
     }
 
     #[test]
-    fn admission_reserves_and_releases() {
-        let mut s = Sandbox::for_disk_memory(32 << 20);
-        let before = s.available();
-        let spec = DiskletSpec::new("sorter", 2, 1, 8 << 20);
-        s.admit(&spec).expect("fits in 32 MB");
-        assert_eq!(s.available(), before - spec.footprint());
-        s.release(&spec);
-        assert_eq!(s.available(), before);
-    }
-
-    #[test]
-    fn oversized_disklet_is_rejected() {
-        let mut s = Sandbox::for_disk_memory(32 << 20);
-        let spec = DiskletSpec::new("hog", 1, 1, 64 << 20);
-        let err = s.admit(&spec).unwrap_err();
-        assert!(matches!(err, AdmitError::ScratchTooLarge { .. }));
-        assert!(!err.to_string().is_empty());
-    }
-
-    #[test]
-    fn footprint_includes_double_buffered_streams() {
-        let spec = DiskletSpec::new("join", 2, 2, 0);
-        assert_eq!(spec.footprint(), 2 * 4 * STREAM_BUFFER_BYTES);
-        assert_eq!(spec.input_streams(), 2);
-        assert_eq!(spec.output_streams(), 2);
-        assert_eq!(spec.name(), "join");
-    }
-
-    #[test]
-    fn larger_memory_admits_larger_scratch() {
-        let mut s32 = Sandbox::for_disk_memory(32 << 20);
-        let mut s128 = Sandbox::for_disk_memory(128 << 20);
-        // ~25 MB scratch: too big at 32 MB (after pools), fine at 128 MB.
-        let spec = DiskletSpec::new("cube", 1, 1, 25 << 20);
-        assert!(s32.admit(&spec).is_err());
-        assert!(s128.admit(&spec).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one stream")]
-    fn streamless_disklet_rejected() {
-        DiskletSpec::new("bad", 0, 0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "matching admit")]
-    fn release_underflow_panics() {
-        let mut s = Sandbox::for_disk_memory(32 << 20);
-        s.release(&DiskletSpec::new("x", 1, 0, 0));
-    }
-
-    #[test]
     fn dispatch_overhead_is_small() {
         assert!(DISPATCH_OVERHEAD < Duration::from_micros(50));
     }
@@ -301,30 +88,5 @@ mod tests {
         // 48 MB sits between the paper's anchors: 1.5x the buffers.
         let s48 = Sandbox::for_disk_memory(48 << 20);
         assert_eq!(s48.comm_buffers(), BASE_COMM_BUFFERS * 3 / 2);
-        assert_eq!(
-            s48.comm_pool_bytes(),
-            s48.comm_buffers() as u64 * STREAM_BUFFER_BYTES
-        );
-    }
-
-    #[test]
-    fn many_small_disklets_fill_the_sandbox() {
-        let mut s = Sandbox::for_disk_memory(32 << 20);
-        let spec = DiskletSpec::new("stage", 1, 1, 1 << 20);
-        let mut admitted = 0;
-        while s.admit(&spec).is_ok() {
-            admitted += 1;
-            assert!(admitted < 100, "sandbox must be finite");
-        }
-        assert!(admitted >= 5, "a 32 MB disk fits several small disklets");
-        // Releasing one frees exactly one slot.
-        s.release(&spec);
-        assert!(s.admit(&spec).is_ok());
-        assert!(s.admit(&spec).is_err());
-    }
-
-    #[test]
-    fn dram_total_reports_installed_memory() {
-        assert_eq!(Sandbox::for_disk_memory(64 << 20).dram_total(), 64 << 20);
     }
 }

@@ -13,19 +13,20 @@
 //! * [`MemoryBudget`] — usable memory after the resident kernel footprint
 //!   (the paper assumes 24 MB of a 128 MB Solaris host is kernel-resident,
 //!   leaving 104 MB for user processes).
-//! * [`AsyncIoQueue`] — `lio_listio`-style bounded asynchronous request
-//!   queues (the tasks keep up to four 256 KB requests in flight).
-//! * [`StripingLayout`] — the user-controllable striping library assumed
-//!   for SMPs (64 KB chunk per disk).
+//! * [`ASYNC_IO_DEPTH`] — the paper's asynchronous request-queue depth.
+//!
+//! SMP striping (64 KB chunks over the disks) is modelled by the machine
+//! in `howsim`, not here.
 
 #![warn(missing_docs)]
 
-pub mod aio;
 pub mod memory;
 pub mod params;
-pub mod striping;
 
-pub use aio::AsyncIoQueue;
 pub use memory::MemoryBudget;
 pub use params::OsCosts;
-pub use striping::StripingLayout;
+
+/// Asynchronous I/O requests a host task keeps in flight: the paper's
+/// tasks "use large (256 KB) I/O requests and deep request queues (up to
+/// four asynchronous requests)".
+pub const ASYNC_IO_DEPTH: usize = 4;

@@ -1,7 +1,7 @@
 //! Content-addressed simulation result cache.
 //!
-//! Every simulation is a pure function of `(architecture, plan,
-//! degraded-disk set, seed, fault plan, recovery policy)`, so its
+//! Every simulation is a pure function of `(architecture, plan, seed,
+//! fault plan, recovery policy)`, so its
 //! [`Report`] can be memoized; a loaded run's [`LoadReport`] likewise,
 //! with the workload, admission, and deadline specs in place of the
 //! plan. The cache key is that tuple's canonical representation,
@@ -314,17 +314,19 @@ pub fn reset_stats() {
 
 /// The full cache key for one simulation: every input the result depends
 /// on, in canonical representation. Hashed with FNV-1a for addressing and
-/// stored verbatim for collision-proof verification.
+/// stored verbatim for collision-proof verification. The fixed
+/// `degraded=[]` field keeps the key bytes of entries written when a
+/// pre-run degraded-disk set was part of the key (media bursts are now
+/// fault-plan events).
 pub fn key_material(
     arch: &Architecture,
     plan: &TaskPlan,
-    degraded: &[(usize, u64)],
     seed: u64,
     faults: &FaultPlan,
     recovery: RecoveryPolicy,
 ) -> String {
     format!(
-        "arch={arch:?} | plan={plan:?} | degraded={degraded:?} | seed={seed} | faults={} | recovery={}",
+        "arch={arch:?} | plan={plan:?} | degraded=[] | seed={seed} | faults={} | recovery={}",
         faults.summary(),
         recovery.name(),
     )
@@ -442,7 +444,6 @@ fn sim_key(sim: &Simulation, plan: &TaskPlan) -> String {
     key_material(
         sim.architecture(),
         plan,
-        sim.degraded_disks(),
         sim.seed(),
         sim.fault_plan(),
         sim.recovery_policy(),
@@ -470,8 +471,7 @@ pub fn insert_sim(sim: &Simulation, plan: &TaskPlan, report: &Report) {
 }
 
 /// Runs `plan` on a configured [`Simulation`] through the cache (the
-/// degraded-disk set, seed, fault plan, and recovery policy all
-/// participate in the key).
+/// seed, fault plan, and recovery policy all participate in the key).
 pub fn run_sim(sim: &Simulation, plan: &TaskPlan) -> Report {
     memoized(|| sim_key(sim, plan), || sim.run_plan(plan))
 }
@@ -486,8 +486,8 @@ pub fn run_tasks(points: &[(Architecture, TaskKind)]) -> Vec<Report> {
     run_sims(&sims)
 }
 
-/// Runs a batch of fully configured simulations (degraded disks, seeds,
-/// fault plans and all) through the cache, deduplicating before
+/// Runs a batch of fully configured simulations (seeds, fault plans and
+/// all) through the cache, deduplicating before
 /// dispatch: cached points are served immediately, duplicate uncached
 /// points simulate once (the copies count as hits), and the unique
 /// misses go through [`sweep::map`] in parallel. Results come back in
@@ -551,9 +551,8 @@ pub fn load_key_material(
     deadline: DeadlinePolicy,
 ) -> String {
     format!(
-        "arch={:?} | degraded={:?} | seed={} | faults={} | recovery={} | workload={} | admission={} | deadline={}",
+        "arch={:?} | degraded=[] | seed={} | faults={} | recovery={} | workload={} | admission={} | deadline={}",
         sim.architecture(),
-        sim.degraded_disks(),
         sim.seed(),
         sim.fault_plan().summary(),
         sim.recovery_policy().name(),
@@ -666,29 +665,27 @@ mod tests {
     }
 
     #[test]
-    fn key_separates_configs_and_degraded_sets() {
+    fn key_separates_configs_and_media_bursts() {
         let _guard = fresh_cache();
         let arch = Architecture::cluster(2);
         let plan = plan_task(TaskKind::Select, &arch);
         let none = FaultPlan::new();
         let policy = RecoveryPolicy::default();
-        let base = key_material(&arch, &plan, &[], 0, &none, policy);
+        let base = key_material(&arch, &plan, 0, &none, policy);
         assert_ne!(
             base,
-            key_material(&Architecture::cluster(4), &plan, &[], 0, &none, policy)
+            key_material(&Architecture::cluster(4), &plan, 0, &none, policy)
         );
-        assert_ne!(
-            base,
-            key_material(&arch, &plan, &[(0, 50)], 0, &none, policy)
-        );
-        assert_ne!(base, key_material(&arch, &plan, &[], 1, &none, policy));
+        assert_ne!(base, key_material(&arch, &plan, 1, &none, policy));
         let failing = FaultPlan::parse_spec("disk:0@1s").unwrap();
-        assert_ne!(base, key_material(&arch, &plan, &[], 0, &failing, policy));
+        assert_ne!(base, key_material(&arch, &plan, 0, &failing, policy));
+        let burst = FaultPlan::parse_spec("slow:0@0s:50").unwrap();
+        assert_ne!(base, key_material(&arch, &plan, 0, &burst, policy));
         assert_ne!(
             base,
-            key_material(&arch, &plan, &[], 0, &none, RecoveryPolicy::FailStop)
+            key_material(&arch, &plan, 0, &none, RecoveryPolicy::FailStop)
         );
-        let degraded = Simulation::new(arch.clone()).with_degraded_disk(0, 50);
+        let degraded = Simulation::new(arch.clone()).with_fault_plan(burst);
         let plain = run_sim(&Simulation::new(arch), &plan);
         let slow = run_sim(&degraded, &plan);
         assert!(slow.elapsed() > plain.elapsed(), "degraded run not shared");

@@ -17,9 +17,9 @@
 //! queue state is renumbered into whatever backend the resuming
 //! simulation configures, and the continuation's report is
 //! field-identical either way. Everything else the paused state depends
-//! on — architecture, plan, degraded disks, seed, fault plan, recovery
-//! policy, and the pause boundary — is in the key, so two fault
-//! scenarios forked from one prefix never alias.
+//! on — architecture, plan, seed, fault plan, recovery policy, and the
+//! pause boundary — is in the key, so two fault scenarios forked from one
+//! prefix never alias.
 
 use std::fs;
 use std::io;
@@ -36,13 +36,13 @@ pub const SCHEMA: &str = "howsim-ckpt/v1";
 
 /// The configuration part of a checkpoint key: every input the paused
 /// state depends on except the pause boundary. The queue backend is
-/// deliberately absent (see the module docs).
+/// deliberately absent (see the module docs); `degraded=[]` is a fixed
+/// field, as in [`crate::cache::key_material`].
 pub fn config_key(sim: &Simulation, plan: &TaskPlan) -> String {
     format!(
-        "ckpt | arch={:?} | plan={:?} | degraded={:?} | seed={} | faults={} | recovery={}",
+        "ckpt | arch={:?} | plan={:?} | degraded=[] | seed={} | faults={} | recovery={}",
         sim.architecture(),
         plan,
-        sim.degraded_disks(),
         sim.seed(),
         sim.fault_plan().summary(),
         sim.recovery_policy().name(),
@@ -135,8 +135,10 @@ mod tests {
         assert_ne!(base, checkpoint_key(&sim, &other_plan, at));
         let other_seed = sim.clone().with_seed(8);
         assert_ne!(base, checkpoint_key(&other_seed, &plan, at));
-        let degraded = sim.clone().with_degraded_disk(0, 50);
-        assert_ne!(base, checkpoint_key(&degraded, &plan, at));
+        let burst = sim
+            .clone()
+            .with_fault_plan(FaultPlan::parse_spec("slow:0@0s:50").unwrap());
+        assert_ne!(base, checkpoint_key(&burst, &plan, at));
         let failstop = sim.clone().with_recovery(RecoveryPolicy::FailStop);
         assert_ne!(base, checkpoint_key(&failstop, &plan, at));
         assert_ne!(

@@ -60,7 +60,6 @@ pub(crate) const POSITIONING_RESOURCE: &str = "disk_positioning";
 #[derive(Debug, Clone)]
 pub struct Simulation {
     arch: Architecture,
-    degraded: Vec<(usize, u64)>,
     queue_backend: QueueBackend,
     seed: u64,
     faults: FaultPlan,
@@ -522,7 +521,6 @@ impl Simulation {
     pub fn new(arch: Architecture) -> Self {
         Simulation {
             arch,
-            degraded: Vec::new(),
             queue_backend: QueueBackend::default(),
             seed: 0,
             faults: FaultPlan::default(),
@@ -576,14 +574,6 @@ impl Simulation {
         self
     }
 
-    /// Injects `grown_defects` remapped sectors into `node`'s drive before
-    /// each run (straggler studies: one sick drive in a healthy farm).
-    #[must_use]
-    pub fn with_degraded_disk(mut self, node: usize, grown_defects: u64) -> Self {
-        self.degraded.push((node, grown_defects));
-        self
-    }
-
     /// The architecture being simulated.
     pub fn architecture(&self) -> &Architecture {
         &self.arch
@@ -592,12 +582,6 @@ impl Simulation {
     /// The configured event-scheduler backend.
     pub(crate) fn queue_backend(&self) -> QueueBackend {
         self.queue_backend
-    }
-
-    /// The injected per-node drive degradations, as `(node, grown_defects)`
-    /// pairs in injection order (part of a run's cache identity).
-    pub fn degraded_disks(&self) -> &[(usize, u64)] {
-        &self.degraded
     }
 
     /// Plans and runs one of the eight workload tasks.
@@ -2655,7 +2639,7 @@ mod tests {
     fn degraded_disk_creates_a_straggler() {
         let healthy = Simulation::new(Architecture::active_disks(8)).run(TaskKind::Select);
         let degraded = Simulation::new(Architecture::active_disks(8))
-            .with_degraded_disk(0, 1_000)
+            .with_fault_plan(FaultPlan::parse_spec("slow:0@0s:1000").unwrap())
             .run(TaskKind::Select);
         // The whole phase waits for the sick drive.
         assert!(

@@ -208,7 +208,7 @@ impl Machine {
             },
             cursors: vec![[0; 2]; c.nodes],
             stripe_cursor: [0; 2],
-            window: 2 * hostos::AsyncIoQueue::PAPER_DEPTH,
+            window: 2 * hostos::ASYNC_IO_DEPTH,
             region_size,
             disks,
             interconnect_bytes: 0,
@@ -243,7 +243,7 @@ impl Machine {
             },
             cursors: vec![[0; 2]; c.processors],
             stripe_cursor: [0; 2],
-            window: 2 * hostos::AsyncIoQueue::PAPER_DEPTH,
+            window: 2 * hostos::ASYNC_IO_DEPTH,
             region_size,
             disks,
             interconnect_bytes: 0,
@@ -327,18 +327,6 @@ impl Machine {
         self.stripe_cursor = [0, 0];
     }
 
-    /// On SMP repartition phases, disks are split into read and write
-    /// groups (NOW-sort style); returns the groups (same set when the
-    /// phase does not write or the machine is not an SMP).
-    fn smp_groups(&self, phase_writes: bool) -> (usize, usize, usize) {
-        // (read_start, read_len, write_start)
-        if matches!(self.fabric, Fabric::Smp { .. }) && phase_writes && self.nodes >= 2 {
-            (0, self.nodes / 2, self.nodes / 2)
-        } else {
-            (0, self.nodes, 0)
-        }
-    }
-
     /// Issues a sequential read of `bytes` for `node` at `now`; returns
     /// when the data is in the node's memory.
     pub fn read(
@@ -349,61 +337,13 @@ impl Machine {
         region: usize,
         phase_writes: bool,
     ) -> SimTime {
-        let rbase = self.region_base(region);
-        let rcap = self.region_capacity(region);
-        match &mut self.fabric {
-            Fabric::Active { .. } | Fabric::Cluster { .. } => {
-                let offset = self.alloc(node, region, bytes);
-                self.disks[node]
-                    .submit(now, Request::read(offset, bytes))
-                    .end
-            }
-            Fabric::Smp { io, .. } => {
-                // Striped read: 64 KB chunks over the read group (failed
-                // drives drop out of the stripe), each crossing the FC
-                // loop + XIO into memory.
-                let (start, len) = {
-                    if phase_writes && self.nodes >= 2 {
-                        (0usize, self.nodes / 2)
-                    } else {
-                        (0, self.nodes)
-                    }
-                };
-                let group = if self.failed_count > 0 {
-                    healthy_group(&self.failed, start, len)
-                } else {
-                    Vec::new()
-                };
-                let mut remaining = bytes;
-                let mut ready = now;
-                while remaining > 0 {
-                    let chunk = remaining.min(SMP_CHUNK);
-                    let disk_ix = if group.is_empty() {
-                        start + (self.stripe_cursor[0] % len)
-                    } else {
-                        group[self.stripe_cursor[0] % group.len()]
-                    };
-                    self.stripe_cursor[0] += 1;
-                    let offset = {
-                        let cur = &mut self.cursors[disk_ix][region];
-                        if *cur + chunk > rcap {
-                            *cur = 0;
-                        }
-                        let off = rbase + *cur;
-                        *cur += chunk;
-                        off
-                    };
-                    let media_done = self.disks[disk_ix]
-                        .submit(now, Request::read(offset, chunk))
-                        .end;
-                    let arrived = io.disk_transfer(media_done, disk_ix, chunk, "io-read");
-                    self.interconnect_bytes += chunk;
-                    ready = ready.max(arrived);
-                    remaining -= chunk;
-                }
-                ready
-            }
+        if let Fabric::Smp { .. } = self.fabric {
+            return self.smp_stripe(now, bytes, region, false, phase_writes);
         }
+        let offset = self.alloc(node, region, bytes);
+        self.disks[node]
+            .submit(now, Request::read(offset, bytes))
+            .end
     }
 
     /// Issues a sequential write of `bytes` from `node` at `now`; returns
@@ -417,59 +357,77 @@ impl Machine {
         phase_writes: bool,
     ) -> SimTime {
         let region = 1 - read_region;
+        if let Fabric::Smp { .. } = self.fabric {
+            return self.smp_stripe(now, bytes, region, true, phase_writes);
+        }
+        let offset = self.alloc(node, region, bytes);
+        self.disks[node]
+            .submit(now, Request::write(offset, bytes))
+            .end
+    }
+
+    /// The SMP striping library: `bytes` move in 64 KB chunks round-robin
+    /// over a disk group, each chunk crossing the FC loop + XIO between
+    /// the disk and memory (reads hit media first, writes cross first).
+    /// A phase that writes splits the disks into a read half and a write
+    /// half (NOW-sort style); otherwise both directions use every disk.
+    /// Failed drives drop out of the stripe, and a group that lost every
+    /// drive falls back to all healthy drives. Returns when the last
+    /// chunk is in memory (read) or on media (write).
+    fn smp_stripe(
+        &mut self,
+        now: SimTime,
+        bytes: u64,
+        region: usize,
+        write: bool,
+        phase_writes: bool,
+    ) -> SimTime {
         let rbase = self.region_base(region);
         let rcap = self.region_capacity(region);
-        match &mut self.fabric {
-            Fabric::Active { .. } | Fabric::Cluster { .. } => {
-                let offset = self.alloc(node, region, bytes);
-                self.disks[node]
-                    .submit(now, Request::write(offset, bytes))
-                    .end
-            }
-            Fabric::Smp { io, .. } => {
-                let (wstart, len) = {
-                    if phase_writes && self.nodes >= 2 {
-                        (self.nodes / 2, self.nodes / 2)
-                    } else {
-                        (0, self.nodes)
-                    }
-                };
-                let group = if self.failed_count > 0 {
-                    healthy_group(&self.failed, wstart, len.max(1))
-                } else {
-                    Vec::new()
-                };
-                let mut remaining = bytes;
-                let mut done = now;
-                while remaining > 0 {
-                    let chunk = remaining.min(SMP_CHUNK);
-                    let disk_ix = if group.is_empty() {
-                        wstart + (self.stripe_cursor[1] % len.max(1))
-                    } else {
-                        group[self.stripe_cursor[1] % group.len()]
-                    };
-                    self.stripe_cursor[1] += 1;
-                    let offset = {
-                        let cur = &mut self.cursors[disk_ix][region];
-                        if *cur + chunk > rcap {
-                            *cur = 0;
-                        }
-                        let off = rbase + *cur;
-                        *cur += chunk;
-                        off
-                    };
-                    // Data crosses the loop to the disk, then hits media.
-                    let at_disk = io.disk_transfer(now, disk_ix, chunk, "io-write");
-                    self.interconnect_bytes += chunk;
-                    let media = self.disks[disk_ix]
-                        .submit(at_disk, Request::write(offset, chunk))
-                        .end;
-                    done = done.max(media);
-                    remaining -= chunk;
+        let split = phase_writes && self.nodes >= 2;
+        let len = if split { self.nodes / 2 } else { self.nodes };
+        let start = if split && write { self.nodes / 2 } else { 0 };
+        let group = if self.failed_count > 0 {
+            healthy_group(&self.failed, start, len)
+        } else {
+            Vec::new()
+        };
+        let Fabric::Smp { io, .. } = &mut self.fabric else {
+            unreachable!("striping is SMP-only")
+        };
+        let cursor = &mut self.stripe_cursor[usize::from(write)];
+        let mut remaining = bytes;
+        let mut done = now;
+        while remaining > 0 {
+            let chunk = remaining.min(SMP_CHUNK);
+            let disk_ix = if group.is_empty() {
+                start + (*cursor % len)
+            } else {
+                group[*cursor % group.len()]
+            };
+            *cursor += 1;
+            let offset = {
+                let cur = &mut self.cursors[disk_ix][region];
+                if *cur + chunk > rcap {
+                    *cur = 0;
                 }
-                done
-            }
+                let off = rbase + *cur;
+                *cur += chunk;
+                off
+            };
+            self.interconnect_bytes += chunk;
+            let disk = &mut self.disks[disk_ix];
+            let end = if write {
+                let at_disk = io.disk_transfer(now, disk_ix, chunk, "io-write");
+                disk.submit(at_disk, Request::write(offset, chunk)).end
+            } else {
+                let media_done = disk.submit(now, Request::read(offset, chunk)).end;
+                io.disk_transfer(media_done, disk_ix, chunk, "io-read")
+            };
+            done = done.max(end);
+            remaining -= chunk;
         }
+        done
     }
 
     /// Region 0 (datasets) lives on the inner half of each drive, region 1
@@ -607,31 +565,9 @@ impl Machine {
         self.disks.iter().map(Disk::wait_total).sum()
     }
 
-    /// Injects `count` grown defects into `node`'s drive, spread across
-    /// the dataset region (straggler / failure-injection studies). Stops
-    /// silently when the drive's spare region is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn degrade_disk(&mut self, node: usize, count: u64) {
-        assert!(node < self.disks.len(), "node out of range");
-        let total = self.disks[node].geometry().total_sectors();
-        // Dataset region: inner quarter (see region_base).
-        let base = 3 * total / 4;
-        let span = total / 4 - 2_048;
-        let stride = (span / count.max(1)).max(1);
-        for i in 0..count {
-            if self.disks[node].grow_defect(base + i * stride).is_err() {
-                break;
-            }
-        }
-    }
-
     /// Injects `count` grown defects into `node`'s drive at positions
     /// drawn from `rng` across the dataset region (a defect *burst*, as
-    /// from a head ding — unlike [`Machine::degrade_disk`]'s even
-    /// stride). Silently stops on spare exhaustion; no-op on a
+    /// from a head ding). Silently stops on spare exhaustion; no-op on a
     /// fail-stopped drive.
     ///
     /// # Panics
@@ -901,12 +837,6 @@ impl Machine {
     /// happen at the front-end rather than along a peer tree.
     pub fn restricted_peer_routing(&self) -> bool {
         matches!(self.fabric, Fabric::Active { direct: false, .. })
-    }
-
-    /// Whether the phase's writes force SMP read/write disk groups.
-    pub fn uses_disk_groups(&self, phase_writes: bool) -> bool {
-        let (_, len, _) = self.smp_groups(phase_writes);
-        len != self.nodes
     }
 
     /// Serializes all mutable machine state for checkpointing: every

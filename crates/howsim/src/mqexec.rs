@@ -341,10 +341,7 @@ impl Mq {
         queries: usize,
         profiled: bool,
     ) -> Mq {
-        let mut machine = Machine::new(sim.architecture());
-        for &(node, count) in sim.degraded_disks() {
-            machine.degrade_disk(node, count);
-        }
+        let machine = Machine::new(sim.architecture());
         // Steady state: every running query holds a full read window per
         // node plus its fan-out, and each query owns at most one control
         // event of each kind.

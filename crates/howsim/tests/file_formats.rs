@@ -61,7 +61,6 @@ fn report_key(sim: &Simulation, plan: &TaskPlan) -> String {
     cache::key_material(
         sim.architecture(),
         plan,
-        sim.degraded_disks(),
         sim.seed(),
         sim.fault_plan(),
         sim.recovery_policy(),

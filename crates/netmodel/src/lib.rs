@@ -43,4 +43,4 @@ pub use fcswitch::FcSwitchFabric;
 pub use link::Link;
 pub use msg::MsgCosts;
 pub use smp::{SmpFabric, SmpIoSubsystem};
-pub use sync::{BarrierCosts, RemoteQueueCosts, SpinlockCosts};
+pub use sync::{BarrierCosts, SpinlockCosts};

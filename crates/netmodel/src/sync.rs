@@ -6,7 +6,9 @@
 //! a multi-phase task is a global barrier: no node may start merging until
 //! every node has finished partitioning. This module prices that
 //! synchronization: a dissemination barrier takes ⌈log₂ n⌉ rounds, each
-//! costing one small-message latency plus software overhead.
+//! costing one small-message latency plus software overhead. Remote
+//! queues are not priced; [`SpinlockCosts`] records why the executor
+//! leaves the SMP's lock serialization out.
 
 use simcore::Duration;
 
@@ -68,33 +70,6 @@ impl BarrierCosts {
         assert!(n > 0, "a barrier needs participants");
         let rounds = usize::BITS - (n - 1).leading_zeros(); // ceil(log2 n), 0 for n=1
         (self.hop_latency + self.round_overhead) * u64::from(rounds)
-    }
-}
-
-/// Remote-queue costs (Brewer et al., the paper's SMP message mechanism):
-/// a sender enqueues a descriptor into a receiver-polled queue with a
-/// single one-way transfer; the receiver pays a dequeue on its next poll.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RemoteQueueCosts {
-    /// One-way enqueue (descriptor write across the interconnect).
-    pub enqueue: Duration,
-    /// Receiver-side dequeue handling.
-    pub dequeue: Duration,
-}
-
-impl RemoteQueueCosts {
-    /// Origin-class remote queues: a cache-line write across a 1 µs
-    /// interconnect plus a local dequeue.
-    pub fn origin() -> Self {
-        RemoteQueueCosts {
-            enqueue: Duration::from_micros(2),
-            dequeue: Duration::from_micros(1),
-        }
-    }
-
-    /// End-to-end cost of passing `n` descriptors through the queue.
-    pub fn pass(&self, n: u64) -> Duration {
-        (self.enqueue + self.dequeue) * n
     }
 }
 
@@ -164,13 +139,6 @@ mod tests {
     fn barriers_are_microseconds_not_seconds() {
         // Sanity: phase-boundary cost is negligible next to phase times.
         assert!(BarrierCosts::ethernet().barrier(128) < Duration::from_millis(1));
-    }
-
-    #[test]
-    fn remote_queue_pass_is_linear() {
-        let rq = RemoteQueueCosts::origin();
-        assert_eq!(rq.pass(0), Duration::ZERO);
-        assert_eq!(rq.pass(10), (rq.enqueue + rq.dequeue) * 10);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Discrete-event simulation core for the Howsim Active Disk simulator.
 //!
 //! This crate provides the timebase, event queue, resource servers, random
-//! number generation, and statistics used by every model in the simulator.
+//! number generation, histograms and metric series used by every model in
+//! the simulator.
 //! It corresponds to the simulation substrate of *Howsim*, the simulator
 //! built for "Evaluation of Active Disks for Decision Support Databases"
 //! (Uysal, Acharya, Saltz — HPCA 2000).
@@ -39,16 +40,14 @@ pub mod rng;
 pub mod server;
 pub mod span;
 pub mod state;
-pub mod stats;
 pub mod time;
 
 pub use faults::DowntimeTracker;
 pub use histogram::Histogram;
-pub use metrics::{Counter, GaugeSeries, UtilizationSampler};
+pub use metrics::{GaugeSeries, UtilizationSampler};
 pub use queue::{EventQueue, QueueBackend, QueueSnapshot};
 pub use rng::SplitMix64;
 pub use server::{FifoServer, MultiServer};
 pub use span::{Span, SpanArena, SpanId, SpanKind};
 pub use state::{StateError, StateReader, StateWriter};
-pub use stats::{Accumulator, BusyTracker};
 pub use time::{Bandwidth, Duration, SimTime};

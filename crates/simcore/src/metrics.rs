@@ -1,5 +1,5 @@
-//! Metrics primitives: monotonic counters, gauge time-series sampled on
-//! simulated time, and utilization samplers.
+//! Metrics primitives: gauge time-series sampled on simulated time, and
+//! utilization samplers.
 //!
 //! The simulator's models are passive (they compute service times; they do
 //! not own the event loop), so instrumentation follows the same
@@ -13,42 +13,6 @@
 //! check when metrics are disabled; see `howsim::metrics` for the wiring.
 
 use crate::time::{Duration, SimTime};
-
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use simcore::metrics::Counter;
-/// let mut c = Counter::new();
-/// c.inc();
-/// c.add(41);
-/// assert_eq!(c.get(), 42);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-}
 
 /// A bounded time-series of `(SimTime, f64)` gauge samples.
 ///
@@ -210,15 +174,6 @@ impl UtilizationSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-    }
 
     #[test]
     fn gauge_series_records_in_order() {

@@ -7,6 +7,10 @@
 //! how it surfaces in the disk service-time distribution — analysis the
 //! simulator supports beyond the paper's healthy-hardware evaluation.
 //!
+//! The sick drive is a fault-plan media burst at t = 0, before its first
+//! read: the same fault as `howsim --fault slow:0@0s:<defects>`, with
+//! defect positions drawn from the run's seed.
+//!
 //! Run with:
 //!
 //! ```text
@@ -14,7 +18,8 @@
 //! ```
 
 use activedisks::arch::Architecture;
-use activedisks::howsim::Simulation;
+use activedisks::howsim::{FaultPlan, Simulation};
+use activedisks::simcore::Duration;
 use activedisks::tasks::TaskKind;
 
 fn main() {
@@ -28,9 +33,9 @@ fn main() {
     );
     let healthy = Simulation::new(Architecture::active_disks(disks)).run(task);
     let base = healthy.elapsed().as_secs_f64();
-    for grown in [0u64, 100, 400, 1_000] {
+    for grown in [0, 100, 400, 1_000] {
         let report = Simulation::new(Architecture::active_disks(disks))
-            .with_degraded_disk(0, grown)
+            .with_fault_plan(FaultPlan::new().media_burst(0, Duration::ZERO, grown))
             .run(task);
         let secs = report.elapsed().as_secs_f64();
         println!(
