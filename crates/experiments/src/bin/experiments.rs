@@ -10,7 +10,8 @@
 //!             [--no-cache]
 //! ```
 //!
-//! With no arguments, everything is regenerated (`--all`). `--quick`
+//! With no arguments, everything is regenerated (`--all`). Any other
+//! argument is an error (exit status 2) before anything runs. `--quick`
 //! restricts the figure sweeps to 16- and 64-disk configurations.
 //! `--jobs N` sets the sweep worker count (default: all cores); the
 //! output is byte-identical for any worker count. `--metrics-out FILE`
@@ -63,10 +64,15 @@ fn write_csv(enabled: bool, name: &str, contents: &str) {
     eprintln!("wrote {}", path.display());
 }
 
+/// Section and mode flags. `--jobs N`, `--metrics-out FILE`, `--cache`
+/// and `--no-cache` are taken off the command line before these.
+const FLAGS: &str = "--table1 --table2 --fig1 --fig2 --fig3 --fig4 --fig5 --beyond64 --skew \
+                     --growth --sensitivity --availability --loadsweep --ablations --quick --csv --all";
+
 fn main() {
     let mut args: Vec<String> = env::args().skip(1).collect();
     // `--jobs N` configures the sweep engine and is not a section flag.
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
+    while let Some(i) = args.iter().position(|a| a == "--jobs") {
         let n: usize = match args.get(i + 1).and_then(|v| v.parse().ok()) {
             Some(n) if n > 0 => n,
             _ => {
@@ -80,7 +86,7 @@ fn main() {
     // `--metrics-out FILE` requests a sweep manifest and is not a
     // section flag either.
     let mut metrics_out: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--metrics-out") {
+    while let Some(i) = args.iter().position(|a| a == "--metrics-out") {
         match args.get(i + 1) {
             Some(path) if !path.starts_with("--") => metrics_out = Some(path.clone()),
             _ => {
@@ -93,13 +99,20 @@ fn main() {
     // `--cache`/`--no-cache` configure the result cache; not section
     // flags. The in-memory tier is on by default; `--cache` adds the
     // on-disk tier and `--no-cache` turns everything off.
-    if let Some(i) = args.iter().position(|a| a == "--cache") {
+    if args.iter().any(|a| a == "--cache") {
         howsim::cache::set_disk_dir(Some(howsim::cache::default_disk_dir()));
-        args.remove(i);
     }
-    if let Some(i) = args.iter().position(|a| a == "--no-cache") {
+    if args.iter().any(|a| a == "--no-cache") {
         howsim::cache::set_enabled(false);
-        args.remove(i);
+    }
+    args.retain(|a| a != "--cache" && a != "--no-cache");
+    if let Some(bad) = args.iter().find(|a| !FLAGS.split(' ').any(|f| f == *a)) {
+        eprintln!(
+            "error: unknown argument `{bad}`\nusage: experiments [{}] [--jobs N] \
+             [--metrics-out FILE] [--cache] [--no-cache]",
+            FLAGS.replace(' ', "] [")
+        );
+        std::process::exit(2);
     }
     let quick = args.iter().any(|a| a == "--quick");
     let csv = args.iter().any(|a| a == "--csv");

@@ -291,6 +291,25 @@ fn parse(args: &[String]) -> Result<Options, String> {
     if opts.disks == 0 {
         return Err("--disks must be positive".to_string());
     }
+    if let Some(mb) = opts.memory_mb {
+        let bytes = mb
+            .checked_mul(1 << 20)
+            .ok_or_else(|| format!("--memory: {mb} MB does not fit in 64-bit bytes"))?;
+        let footprint = hostos::MemoryBudget::DISK_OS_KERNEL_BYTES;
+        if opts.arch == "active" && bytes <= footprint {
+            return Err(format!(
+                "--memory: an Active Disk needs more than the {} MB DiskOS footprint, got {mb} MB",
+                footprint >> 20
+            ));
+        }
+    }
+    if let Some(mb) = opts.interconnect_mb {
+        if !(mb > 0.0 && (mb * 1e6).is_finite()) {
+            return Err(format!(
+                "--interconnect: needs a positive, finite rate in MB/s, got {mb}"
+            ));
+        }
+    }
     let observed = opts.explain
         || opts.profile
         || opts.trace_path.is_some()

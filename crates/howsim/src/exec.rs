@@ -31,7 +31,7 @@ use crate::faults::{
 };
 use crate::machine::Machine;
 use crate::metrics::{MetricsBuilder, Resource, ResourceUsage};
-use crate::mqexec::{Mq, QState, QueryRun, QueryStatus};
+use crate::mqexec::{query_slots, Mq, QState, QueryRun, QueryStatus, MAX_QUEUE_HINT};
 use crate::profile::{PhaseSpans, SpanTrace};
 use crate::report::{load_resources, load_tag_map, save_resources, save_tag_map};
 use crate::report::{PhaseReport, Report};
@@ -999,8 +999,10 @@ impl<'p> ExecRun<'p> {
     /// and `plan` must be the configuration the state was saved under
     /// (the checkpoint key guarantees this; a mismatched machine shape,
     /// an event or recovery entry naming a node the machine lacks, a
-    /// clock that disagrees with the finished phases, or a multi-query
-    /// control event is also caught here as an error). The restored
+    /// clock that disagrees with the finished phases, a multi-query
+    /// control event, an abort clock behind the open phase, or any other
+    /// state no run reaches ([`open_phase_reachable`]) is also caught
+    /// here as an error). The restored
     /// queue is freshly built for `sim`'s backend and replays the saved
     /// pop order exactly, so a checkpoint taken under one backend
     /// resumes bit-identically under the other.
@@ -1048,8 +1050,10 @@ impl<'p> ExecRun<'p> {
         f.abort_at = abort_set.then(|| SimTime::from_nanos(abort_ns));
         q.eng.any_dead = r.flag("fr_any_dead")?;
         q.eng.phases = r.counted("phases_done", PhaseReport::load_state)?;
-        if q.eng.phases.len() > plan.phases.len() {
-            return Err(StateError::new("finished-phase count out of range"));
+        if q.eng.phases.len() != phase_ix {
+            return Err(StateError::new(
+                "finished-phase count disagrees with phase_ix",
+            ));
         }
         let ended = q
             .eng
@@ -1059,7 +1063,7 @@ impl<'p> ExecRun<'p> {
         if ended != Some(clock.as_nanos()) {
             return Err(StateError::new("clock disagrees with the finished phases"));
         }
-        let cap = n * (mq.machine.window() + 4);
+        let cap = query_slots(&mq.machine).min(MAX_QUEUE_HINT);
         mq.q = EventQueue::with_backend_capacity(sim.queue_backend, cap);
         mq.work_popped = events;
         q.eng.phase_ix = phase_ix;
@@ -1076,6 +1080,10 @@ impl<'p> ExecRun<'p> {
             }
         } else if !midphase {
             // Between phases, the last one's barrier open until the clock.
+            // A phase closes holding no batch, so nothing is pooled.
+            if !q.eng.pool.is_empty() {
+                return Err(StateError::new("batches pooled between phases"));
+            }
             let last = q.eng.phases.last().map_or(0, |p| p.elapsed.as_nanos());
             q.eng.start = SimTime::from_nanos(clock.as_nanos() - last);
             q.state = QState::Barrier;
@@ -1109,6 +1117,26 @@ impl<'p> ExecRun<'p> {
                 Ok((t, ev))
             })?;
             let inflight = queued.len() as u64 + u64::from(pending.is_some());
+            // A batch read or its processing carries 1 B to a batch, a
+            // message at most the larger of a batch and the phase's
+            // per-node front-end partial.
+            let mut batches_in_flight = vec![0u64; n];
+            let message = BATCH_BYTES.max(phase.frontend_bytes_per_node);
+            for (_, ev) in pending.iter().chain(&queued) {
+                let (bytes, max) = match *ev {
+                    Ev::BatchRead { node, bytes, .. } | Ev::BatchProcessed { node, bytes, .. } => {
+                        batches_in_flight[node] += 1;
+                        (bytes, BATCH_BYTES)
+                    }
+                    Ev::PeerArrive { bytes, .. }
+                    | Ev::RecvProcessed { bytes, .. }
+                    | Ev::FeArrive { bytes, .. } => (bytes, message),
+                    _ => continue,
+                };
+                if !(1..=max).contains(&bytes) {
+                    return Err(StateError::new("event carries bytes no run sends"));
+                }
+            }
             mq.q.load_snapshot(QueueSnapshot {
                 events: queued,
                 popped,
@@ -1148,6 +1176,18 @@ impl<'p> ExecRun<'p> {
                     st.dst_picks = j;
                 }
             }
+            let (eng, m) = (&q.eng, &mq.machine);
+            let planned = phase.read_bytes_total;
+            if !open_phase_reachable(
+                &nodes,
+                &eng.pool,
+                &batches_in_flight,
+                eng.any_dead,
+                m,
+                planned,
+            ) {
+                return Err(StateError::new("an open phase no run reaches"));
+            }
             // Costs and the phase's derived settings are recomputed,
             // never stored.
             let eng = &mut q.eng;
@@ -1159,6 +1199,9 @@ impl<'p> ExecRun<'p> {
             eng.horizon = horizon;
             eng.inflight = inflight;
             q.state = QState::Running;
+        }
+        if !done && f.abort_at.is_some_and(|at| at < q.eng.start) {
+            return Err(StateError::new("abort clock behind the open phase"));
         }
         Ok(run)
     }
@@ -1317,6 +1360,55 @@ fn check_solo_ev(ev: &Ev, n: usize) -> Result<(), StateError> {
         return Err(StateError::new("event addresses a node the machine lacks"));
     }
     Ok(())
+}
+
+/// Whether a restored open phase is one a run can reach; resuming any
+/// other could panic, hang or end with a wrong report. Per node:
+/// `processed ≤ issued ≤ batches_total` and `own_batches ≤
+/// batches_total`; the unissued batches are the unissued own ones plus
+/// the pending recovery; a live node has every issued, unprocessed batch
+/// in flight (`in_flight` counts its queued reads and processing), a dead
+/// one at most those; and `dead` is the machine's fail flag. Every
+/// pooled, pending-recovery and unissued own batch holds 1 B to a batch,
+/// `any_dead` says whether any node failed, and the issued, unissued own,
+/// pending and pooled bytes add up to the phase's `planned` bytes (the
+/// conservation [`PhaseEngine::close`] asserts).
+fn open_phase_reachable(
+    nodes: &[NodeState],
+    pool: &[(usize, u64)],
+    in_flight: &[u64],
+    any_dead: bool,
+    m: &Machine,
+    planned: u64,
+) -> bool {
+    let batch = |b: &u64| (1..=BATCH_BYTES).contains(b);
+    let mut bytes: u128 = pool.iter().map(|&(_, b)| u128::from(b)).sum();
+    let nodes_ok = nodes.iter().enumerate().all(|(i, st)| {
+        // Own batches go first; a node with no share has none to issue.
+        let own = if st.bytes_total > 0 {
+            st.own_batches.saturating_sub(st.issued)
+        } else {
+            0
+        };
+        if own > 0 {
+            bytes +=
+                u128::from(own - 1) * u128::from(BATCH_BYTES) + u128::from(st.last_batch_bytes);
+        }
+        let pending: u128 = st.recovery_pending.iter().map(|&b| u128::from(b)).sum();
+        bytes += u128::from(st.issued_bytes) + pending;
+        let unissued = st.batches_total.checked_sub(st.issued).map(u128::from);
+        let unprocessed = st.issued.checked_sub(st.processed);
+        st.own_batches <= st.batches_total
+            && unissued == Some(u128::from(own) + st.recovery_pending.len() as u128)
+            && unprocessed.is_some_and(|u| in_flight[i] == u || (st.dead && in_flight[i] < u))
+            && st.dead == m.disk_failed(i)
+            && (own == 0 || batch(&st.last_batch_bytes))
+            && st.recovery_pending.iter().all(batch)
+    });
+    nodes_ok
+        && pool.iter().all(|(_, b)| batch(b))
+        && any_dead == (m.failed_count() > 0)
+        && bytes == u128::from(planned)
 }
 
 /// Writes one node's phase progress. On a skewed shuffle the node's

@@ -331,6 +331,30 @@ pub(crate) struct Mq {
     halted: bool,
 }
 
+/// Most events a driver's queue reserves room for up front. Every
+/// configuration of the paper's sweeps asks for far fewer; a run that
+/// needs more grows its queue as it goes.
+pub(crate) const MAX_QUEUE_HINT: usize = 1 << 20;
+
+/// Queue slots one running query holds in steady state: a full read
+/// window per node plus its fan-out. Saturates, so a huge DiskOS buffer
+/// pool asks for [`MAX_QUEUE_HINT`] rather than wrapping.
+pub(crate) fn query_slots(m: &Machine) -> usize {
+    m.nodes().saturating_mul(m.window().saturating_add(4))
+}
+
+/// The driver's queue capacity hint for `queries` queries on `m`, at most
+/// `concurrent` of them running at once: each running query's steady
+/// state, plus at most one control event of each kind per query.
+fn queue_hint(m: &Machine, concurrent: usize, queries: usize) -> usize {
+    concurrent
+        .min(queries)
+        .saturating_mul(query_slots(m))
+        .saturating_add(queries.saturating_mul(2))
+        .saturating_add(64)
+        .min(MAX_QUEUE_HINT)
+}
+
 impl Mq {
     /// A driver on a fresh machine for `sim`, with nothing queued; its
     /// queue is sized for `queries` queries.
@@ -342,11 +366,7 @@ impl Mq {
         profiled: bool,
     ) -> Mq {
         let machine = Machine::new(sim.architecture());
-        // Steady state: every running query holds a full read window per
-        // node plus its fan-out, and each query owns at most one control
-        // event of each kind.
-        let slots = machine.nodes() * (machine.window() + 4);
-        let cap = adm.max_concurrent.min(queries) * slots + 2 * queries + 64;
+        let cap = queue_hint(&machine, adm.max_concurrent, queries);
         Mq {
             q: EventQueue::with_backend_capacity(sim.queue_backend(), cap),
             machine,
@@ -1202,6 +1222,20 @@ mod tests {
         };
         let report = sim.run_workload(&w, adm, DeadlinePolicy::default());
         assert_eq!(report.completed(), 2);
+    }
+
+    /// The queue's capacity hint keeps its size on the paper's largest
+    /// configuration and saturates to a cap, instead of wrapping or asking
+    /// for terabytes, for a buffer pool no disk has.
+    #[test]
+    fn queue_hint_is_capped() {
+        let paper = Machine::new(&Architecture::active_disks(128).with_disk_memory(128 << 20));
+        assert_eq!(query_slots(&paper), 128 * (64 + 4));
+        assert_eq!(queue_hint(&paper, 4, 10), 4 * 128 * 68 + 2 * 10 + 64);
+        let huge = Machine::new(&Architecture::active_disks(4).with_disk_memory(u64::MAX));
+        assert!(query_slots(&huge) > MAX_QUEUE_HINT);
+        assert_eq!(queue_hint(&huge, 1, 1), MAX_QUEUE_HINT);
+        assert_eq!(queue_hint(&paper, usize::MAX, usize::MAX), MAX_QUEUE_HINT);
     }
 
     #[test]

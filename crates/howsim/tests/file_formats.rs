@@ -319,3 +319,169 @@ fn hostile_ckpt_control_event_is_a_clean_miss() {
         )
     }));
 }
+
+/// Re-seals an edit of the faulted mview `.ckpt` fixture and tries to
+/// resume it. Each edit below keeps every number in range but describes
+/// a state no run reaches; before the load-time checks, each one
+/// resumed and then panicked, hung or finished with a wrong report.
+fn resume_faulted_edit(tag: &str, edit: impl FnOnce(&str) -> String) -> bool {
+    let arch = Architecture::active_disks(4);
+    let plan = plan_task(TaskKind::MaterializedView, &arch);
+    let sim = Simulation::new(arch)
+        .with_fault_plan(FaultPlan::parse_spec("disk:1@128s").unwrap())
+        .with_recovery(RecoveryPolicy::Redistribute);
+    let path = scratch_dir(tag).join("edited.ckpt");
+    let edited = resealed(
+        checkpoint::SCHEMA,
+        &fixture("mview-active4-fault.ckpt"),
+        edit,
+    );
+    std::fs::write(&path, edited).unwrap();
+    let resumed = checkpoint::read_file(&path, &sim, &plan).is_some();
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    resumed
+}
+
+/// Sets field `field` of node `node`'s `nstate` line. The fields are
+/// `bytes_total batches_total own_batches issued issued_bytes processed
+/// last_batch_bytes dead fe_sent next_dst`.
+fn with_nstate(body: &str, node: usize, field: usize, value: u64) -> String {
+    let old = body
+        .lines()
+        .filter(|l| l.starts_with("nstate "))
+        .nth(node)
+        .expect("an nstate line per node");
+    let mut fields: Vec<String> = old.split(' ').map(str::to_string).collect();
+    fields[1 + field] = value.to_string();
+    body.replacen(&format!("{old}\n"), &format!("{}\n", fields.join(" ")), 1)
+}
+
+/// Sets the bytes of the first `fr_poolent` line.
+fn with_first_pool_bytes(body: &str, bytes: u64) -> String {
+    let old = body
+        .lines()
+        .find(|l| l.starts_with("fr_poolent "))
+        .expect("a pooled batch");
+    body.replacen(old, &format!("fr_poolent 1 {bytes}"), 1)
+}
+
+/// Sets the bytes of the first queued batch read.
+fn with_first_read_bytes(body: &str, bytes: u64) -> String {
+    let old = body
+        .lines()
+        .find(|l| l.starts_with("qe ") && l.contains(" br "))
+        .expect("a queued batch read");
+    let (head, _) = old.split_once(" br ").unwrap();
+    body.replacen(old, &format!("{head} br 0 {bytes} 0"), 1)
+}
+
+#[test]
+fn faulted_ckpt_edit_issued_bytes_zero_is_a_miss() {
+    assert!(
+        resume_faulted_edit("fe-same", str::to_string),
+        "the re-sealed original resumes"
+    );
+    assert!(!resume_faulted_edit("fe-ib", |b| with_nstate(b, 1, 4, 0)));
+}
+
+#[test]
+fn faulted_ckpt_edit_issued_low_is_a_miss() {
+    assert!(!resume_faulted_edit("fe-is10", |b| with_nstate(
+        b, 0, 3, 10
+    )));
+}
+
+#[test]
+fn faulted_ckpt_edit_issued_high_is_a_miss() {
+    assert!(!resume_faulted_edit("fe-is99", |b| with_nstate(
+        b, 0, 3, 99_999
+    )));
+}
+
+#[test]
+fn faulted_ckpt_edit_batches_total_is_a_miss() {
+    assert!(!resume_faulted_edit("fe-bt", |b| with_nstate(b, 0, 1, 1)));
+}
+
+#[test]
+fn faulted_ckpt_edit_own_batches_is_a_miss() {
+    assert!(!resume_faulted_edit("fe-ob", |b| with_nstate(
+        b, 0, 2, 99_999
+    )));
+}
+
+#[test]
+fn faulted_ckpt_edit_last_batch_bytes_is_a_miss() {
+    assert!(!resume_faulted_edit("fe-lb", |b| with_nstate(b, 0, 6, 0)));
+}
+
+#[test]
+fn faulted_ckpt_edit_processed_past_issued_is_a_miss() {
+    // Node 0 issued 3,732 batches; 3,815 processed is more.
+    assert!(!resume_faulted_edit("fe-pr", |b| with_nstate(
+        b, 0, 5, 3_815
+    )));
+}
+
+#[test]
+fn faulted_ckpt_edit_live_failed_node_is_a_miss() {
+    // The machine lists node 1 as failed.
+    assert!(!resume_faulted_edit("fe-dead", |b| with_nstate(b, 1, 7, 0)));
+}
+
+#[test]
+fn faulted_ckpt_edit_any_dead_is_a_miss() {
+    assert!(!resume_faulted_edit("fe-any", |b| with_line(
+        b,
+        "fr_any_dead",
+        "fr_any_dead 0"
+    )));
+}
+
+#[test]
+fn faulted_ckpt_edit_empty_pooled_batch_is_a_miss() {
+    assert!(!resume_faulted_edit("fe-pool0", |b| with_first_pool_bytes(
+        b, 0
+    )));
+}
+
+#[test]
+fn faulted_ckpt_edit_huge_pooled_batch_is_a_miss() {
+    assert!(!resume_faulted_edit("fe-poolmax", |b| {
+        with_first_pool_bytes(b, u64::MAX)
+    }));
+}
+
+#[test]
+fn faulted_ckpt_edit_empty_queued_read_is_a_miss() {
+    assert!(!resume_faulted_edit("fe-br0", |b| with_first_read_bytes(
+        b, 0
+    )));
+}
+
+#[test]
+fn faulted_ckpt_edit_huge_queued_read_is_a_miss() {
+    assert!(!resume_faulted_edit("fe-brmax", |b| with_first_read_bytes(
+        b,
+        u64::MAX
+    )));
+}
+
+#[test]
+fn faulted_ckpt_edit_phase_cursor_is_a_miss() {
+    assert!(!resume_faulted_edit("fe-phase", |b| with_line(
+        b,
+        "phase_ix",
+        "phase_ix 0"
+    )));
+}
+
+#[test]
+fn faulted_ckpt_edit_abort_clock_behind_the_phase_is_a_miss() {
+    // Sets the abort clock at 0 s, before the open phase's 27.68 s start.
+    assert!(!resume_faulted_edit("fe-abort", |b| with_line(
+        b,
+        "fr_abort_set",
+        "fr_abort_set 1"
+    )));
+}
