@@ -52,6 +52,7 @@ impl Sandbox {
     ///
     /// Panics if `dram_bytes` is not larger than the DiskOS footprint.
     pub fn for_disk_memory(dram_bytes: u64) -> Self {
+        // Panics unless the DRAM exceeds the DiskOS footprint.
         MemoryBudget::active_disk(dram_bytes);
         let scale = dram_bytes as f64 / (32 << 20) as f64;
         let comm_buffers = ((BASE_COMM_BUFFERS as f64 * scale) as usize).max(1);

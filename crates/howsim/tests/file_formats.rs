@@ -322,8 +322,8 @@ fn hostile_ckpt_control_event_is_a_clean_miss() {
 
 /// Re-seals an edit of the faulted mview `.ckpt` fixture and tries to
 /// resume it. Each edit below keeps every number in range but describes
-/// a state no run reaches; before the load-time checks, each one
-/// resumed and then panicked, hung or finished with a wrong report.
+/// a state no run reaches, whose resumption would panic, hang or finish
+/// with a wrong report: each must be a miss.
 fn resume_faulted_edit(tag: &str, edit: impl FnOnce(&str) -> String) -> bool {
     let arch = Architecture::active_disks(4);
     let plan = plan_task(TaskKind::MaterializedView, &arch);
