@@ -10,8 +10,9 @@
 //! truncated, bit-flipped, or mismatched file is a clean miss, never a
 //! panic. The body decoder also rejects state no paused single-query
 //! run can hold (events addressing missing nodes, control events,
-//! counts beyond the input). Publication is atomic (temp file, then
-//! rename).
+//! counts beyond the input, and per-node counters, fault flags, batch
+//! sizes or byte totals no run reaches; see [`ExecRun::load_state`]).
+//! Publication is atomic (temp file, then rename).
 //!
 //! The checkpoint key deliberately excludes the queue backend: restored
 //! queue state is renumbered into whatever backend the resuming

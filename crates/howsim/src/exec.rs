@@ -1001,7 +1001,7 @@ impl<'p> ExecRun<'p> {
     /// an event or recovery entry naming a node the machine lacks, a
     /// clock that disagrees with the finished phases, a multi-query
     /// control event, an abort clock behind the open phase, or any other
-    /// state no run reaches ([`open_phase_reachable`]) is also caught
+    /// state no run reaches (`open_phase_reachable`) is also caught
     /// here as an error). The restored
     /// queue is freshly built for `sim`'s backend and replays the saved
     /// pop order exactly, so a checkpoint taken under one backend
