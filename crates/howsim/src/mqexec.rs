@@ -331,7 +331,7 @@ pub(crate) struct Mq {
     halted: bool,
 }
 
-/// Most events a driver's queue reserves room for up front. Every
+/// Most events an [`Mq`] queue reserves room for up front. Every
 /// configuration of the paper's sweeps asks for far fewer; a run that
 /// needs more grows its queue as it goes.
 pub(crate) const MAX_QUEUE_HINT: usize = 1 << 20;
@@ -343,7 +343,7 @@ pub(crate) fn query_slots(m: &Machine) -> usize {
     m.nodes().saturating_mul(m.window().saturating_add(4))
 }
 
-/// The driver's queue capacity hint for `queries` queries on `m`, at most
+/// The queue capacity hint for `queries` queries on `m`, at most
 /// `concurrent` of them running at once: each running query's steady
 /// state, plus at most one control event of each kind per query.
 fn queue_hint(m: &Machine, concurrent: usize, queries: usize) -> usize {
