@@ -18,7 +18,6 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// System allocator wrapper that counts allocations per thread.
@@ -33,7 +32,6 @@ pub struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + layout.size() as u64));
         unsafe { System.alloc(layout) }
     }
 
@@ -43,8 +41,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        let grown = new_size.saturating_sub(layout.size()) as u64;
-        let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + grown));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -52,11 +48,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Allocations performed on this thread since it started.
 pub fn allocs_so_far() -> u64 {
     ALLOCS.try_with(Cell::get).unwrap_or(0)
-}
-
-/// Bytes requested from the allocator on this thread since it started.
-pub fn alloc_bytes_so_far() -> u64 {
-    ALLOC_BYTES.try_with(Cell::get).unwrap_or(0)
 }
 
 /// Run `f` and return its result together with the number of heap

@@ -241,7 +241,8 @@ fn main() {
 }
 
 /// Extra design-space sweeps the paper describes in prose: 128 MB disk
-/// memory, the 1 GHz front-end, and Fast Disks for every task.
+/// memory, then one base-vs-variant table each for the 1 GHz front-end,
+/// the next-generation embedded CPU and Fast Disks, over every task.
 fn ablations(sizes: &[usize]) {
     use arch::Architecture;
     use howsim::cache;
@@ -251,71 +252,35 @@ fn ablations(sizes: &[usize]) {
     let cells = experiments::fig4::run_memory(sizes, 128);
     outln!("{}", experiments::fig4::render(&cells));
 
-    outln!("Ablation: 1 GHz front-end (vs 450 MHz), % improvement");
-    for &disks in sizes {
-        for task in TaskKind::ALL {
-            let base = cache::run(&Architecture::active_disks(disks), task)
-                .elapsed()
-                .as_secs_f64();
-            let fast = cache::run(
-                &Architecture::active_disks(disks)
-                    .with_front_end(arch::ProcessorSpec::front_end_1ghz()),
-                task,
-            )
-            .elapsed()
-            .as_secs_f64();
-            outln!(
-                "  {:>10} @ {:>3} disks: {:+.1}%",
-                task.name(),
-                disks,
-                (1.0 - fast / base) * 100.0
-            );
+    type Change = fn(Architecture) -> Architecture;
+    let variants: [(&str, Change); 3] = [
+        ("1 GHz front-end (vs 450 MHz)", |a| {
+            a.with_front_end(arch::ProcessorSpec::front_end_1ghz())
+        }),
+        ("next-generation embedded processor (2x Cyrix)", |a| {
+            a.with_embedded_cpu(arch::ProcessorSpec::embedded_next_gen())
+        }),
+        ("Hitachi Fast Disks (vs Cheetah 9LP)", |a| {
+            a.with_disk_spec(diskmodel::DiskSpec::hitachi_dk3e1t_91())
+        }),
+    ];
+    for (i, (title, change)) in variants.into_iter().enumerate() {
+        if i > 0 {
+            outln!();
         }
-    }
-    outln!();
-
-    outln!("Ablation: next-generation embedded processor (2x Cyrix), % improvement");
-    for &disks in sizes {
-        for task in TaskKind::ALL {
-            let base = cache::run(&Architecture::active_disks(disks), task)
-                .elapsed()
-                .as_secs_f64();
-            let fast = cache::run(
-                &Architecture::active_disks(disks)
-                    .with_embedded_cpu(arch::ProcessorSpec::embedded_next_gen()),
-                task,
-            )
-            .elapsed()
-            .as_secs_f64();
-            outln!(
-                "  {:>10} @ {:>3} disks: {:+.1}%",
-                task.name(),
-                disks,
-                (1.0 - fast / base) * 100.0
-            );
-        }
-    }
-    outln!();
-
-    outln!("Ablation: Hitachi Fast Disks (vs Cheetah 9LP), % improvement");
-    for &disks in sizes {
-        for task in TaskKind::ALL {
-            let base = cache::run(&Architecture::active_disks(disks), task)
-                .elapsed()
-                .as_secs_f64();
-            let fast = cache::run(
-                &Architecture::active_disks(disks)
-                    .with_disk_spec(diskmodel::DiskSpec::hitachi_dk3e1t_91()),
-                task,
-            )
-            .elapsed()
-            .as_secs_f64();
-            outln!(
-                "  {:>10} @ {:>3} disks: {:+.1}%",
-                task.name(),
-                disks,
-                (1.0 - fast / base) * 100.0
-            );
+        outln!("Ablation: {title}, % improvement");
+        for &disks in sizes {
+            for task in TaskKind::ALL {
+                let elapsed = |a: &Architecture| cache::run(a, task).elapsed().as_secs_f64();
+                let base = elapsed(&Architecture::active_disks(disks));
+                let fast = elapsed(&change(Architecture::active_disks(disks)));
+                outln!(
+                    "  {:>10} @ {:>3} disks: {:+.1}%",
+                    task.name(),
+                    disks,
+                    (1.0 - fast / base) * 100.0
+                );
+            }
         }
     }
 }

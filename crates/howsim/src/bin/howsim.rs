@@ -291,12 +291,32 @@ fn parse(args: &[String]) -> Result<Options, String> {
     if opts.disks == 0 {
         return Err("--disks must be positive".to_string());
     }
+    // A setting the architecture does not have is an error, not a no-op.
+    let arch_flags: [(&str, bool, &[&str]); 4] = [
+        ("--memory", opts.memory_mb.is_some(), &["active"]),
+        (
+            "--interconnect",
+            opts.interconnect_mb.is_some(),
+            &["active", "smp"],
+        ),
+        ("--no-direct", !opts.direct, &["active"]),
+        ("--fibre-switch", opts.fibre_switch, &["active"]),
+    ];
+    for (flag, given, archs) in arch_flags {
+        if given && !archs.contains(&opts.arch.as_str()) {
+            return Err(format!(
+                "{flag} applies to --arch {} only, not --arch {}",
+                archs.join(" and --arch "),
+                opts.arch
+            ));
+        }
+    }
     if let Some(mb) = opts.memory_mb {
         let bytes = mb
             .checked_mul(1 << 20)
             .ok_or_else(|| format!("--memory: {mb} MB does not fit in 64-bit bytes"))?;
         let footprint = hostos::MemoryBudget::DISK_OS_KERNEL_BYTES;
-        if opts.arch == "active" && bytes <= footprint {
+        if bytes <= footprint {
             return Err(format!(
                 "--memory: an Active Disk needs more than the {} MB DiskOS footprint, got {mb} MB",
                 footprint >> 20
@@ -828,7 +848,7 @@ fn main() -> ExitCode {
             .with_faults(&fault_plan, opts.recovery)
             .with_host(HostInfo::capture(report.events, wall));
         if let Some(mb) = metrics {
-            manifest = manifest.with_metrics(mb.finish(report.events));
+            manifest = manifest.with_metrics(mb.finish());
         }
         if let Some(t) = &trace {
             manifest = manifest.with_trace(t.summary());
@@ -883,12 +903,12 @@ mod tests {
     #[test]
     fn full_flag_set_parses() {
         let o = parse(&argv(
-            "--arch smp --disks 128 --task sort --memory 64 --interconnect 400 \
+            "--arch active --disks 128 --task sort --memory 64 --interconnect 400 \
              --no-direct --fibre-switch --fast-disk --trace t.csv --trace-out t.jsonl \
              --metrics-out m.json --jobs 4 --cache",
         ))
         .unwrap();
-        assert_eq!(o.arch, "smp");
+        assert_eq!(o.arch, "active");
         assert_eq!(o.disks, 128);
         assert_eq!(o.task, TaskKind::Sort);
         assert_eq!(o.memory_mb, Some(64));

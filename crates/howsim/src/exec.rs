@@ -4,18 +4,23 @@
 //! `PhaseEngine` holds one query's progress through its plan: the phase
 //! cursor, per-node read and output state, the phase's per-batch costs
 //! and shuffle schedule, the query's recovery view of failed nodes, its
-//! count of work events in flight, its critical-path span anchors and
-//! the reports of the phases it has ended. Its methods are the phase
-//! state machine, each implemented once: open a phase (`begin`, then
-//! `prime`), handle a work event (`handle`), tear down a node that
-//! fail-stops mid-phase (`fail_node`) and close a drained phase
-//! (`close`). The engine never knows who drives it.
+//! count of work events in flight, its critical-path span anchors, the
+//! reports and span windows of the phases it has ended and, when its run
+//! keeps them, its trace rows. Its methods are the phase state machine,
+//! each implemented once: open a phase (`begin`, then `prime`), handle a
+//! work event (`handle`), tear down a node that fail-stops mid-phase
+//! (`fail_node`) and close a drained phase (`close`). The engine never
+//! knows who drives it.
 //!
 //! [`crate::mqexec`] holds the one driver. It runs every configuration:
 //! a solo run is a one-query workload on it. [`ExecRun`] (this module)
 //! is the solo façade over a one-query driver: it keeps the pausable,
 //! forkable run API, the solo [`Report`] and the `howsim-ckpt/v1` state
-//! codec. Every solo entry point of [`Simulation`] runs through it.
+//! codec, and it never records. [`Simulation::run_plan_observed`] is the
+//! one solo run that records: it moves the caller's trace into the
+//! engine and the caller's metrics sampler into the driver, enables the
+//! driver's span arena when profiled, and moves all three back out when
+//! the run ends.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -596,7 +601,7 @@ impl Simulation {
     ///
     /// Panics if the plan fails validation.
     pub fn run_plan(&self, plan: &TaskPlan) -> Report {
-        self.run_plan_observed(plan, None, None, false).0
+        self.start(plan).finish()
     }
 
     /// Starts a pausable, forkable run of `plan` (see [`ExecRun`]): the
@@ -609,19 +614,11 @@ impl Simulation {
     ///
     /// Panics if the plan fails validation.
     pub fn start<'p>(&self, plan: &'p TaskPlan) -> ExecRun<'p> {
-        ExecRun::start_inner(self, plan, false)
-    }
-
-    /// Starts a pausable run with causal span profiling enabled; finish
-    /// it with [`ExecRun::finish_profiled`]. Forks carry the prefix's
-    /// span arena, so a forked continuation's critical path is identical
-    /// to a from-scratch profiled run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan fails validation.
-    pub fn start_profiled<'p>(&self, plan: &'p TaskPlan) -> ExecRun<'p> {
-        ExecRun::start_inner(self, plan, true)
+        ExecRun {
+            sim: self.clone(),
+            plan,
+            mq: Mq::one_query(self, plan),
+        }
     }
 
     /// Plans and runs a task with causal span profiling enabled.
@@ -646,11 +643,10 @@ impl Simulation {
 
     /// Runs a plan with any combination of event tracing, metrics
     /// sampling, and (when `profiled`) span recording, in a single
-    /// simulation pass. The report is bit-identical whatever
-    /// instrumentation is attached. Every non-pausable run entry point
-    /// funnels here and drives an [`ExecRun`] straight to completion, so
-    /// from-scratch runs, forked continuations and loaded runs share one
-    /// event loop by construction.
+    /// simulation pass: the one solo run that records. The report is
+    /// bit-identical whatever instrumentation is attached, and to
+    /// [`Simulation::run_plan`]'s: both drive the executor's one event
+    /// loop, and the recorders only read what it does.
     ///
     /// # Panics
     ///
@@ -662,30 +658,46 @@ impl Simulation {
         mut metrics: Option<&mut MetricsBuilder>,
         profiled: bool,
     ) -> (Report, Option<SpanTrace>) {
-        let mut run = ExecRun::start_inner(self, plan, profiled);
-        run.mq.run(None, &mut trace, &mut metrics);
-        run.into_parts()
+        let mut mq = Mq::one_query(self, plan);
+        // Each recorder lives in the state it observes while the run
+        // runs: the caller's move in here and back out, filled, below.
+        mq.runs[0].eng.trace = trace.as_deref_mut().map(std::mem::take);
+        mq.metrics = metrics.as_deref_mut().map(std::mem::take);
+        if profiled {
+            mq.spans = SpanArena::enabled();
+        }
+        mq.run(None);
+        if let (Some(t), Some(kept)) = (trace, mq.runs[0].eng.trace.take()) {
+            *t = kept;
+        }
+        if let (Some(mb), Some(kept)) = (metrics, mq.metrics.take()) {
+            *mb = kept;
+        }
+        let arena = std::mem::take(&mut mq.spans);
+        let (report, phases) = solo_report(self, plan, mq);
+        (report, profiled.then_some(SpanTrace { arena, phases }))
     }
 }
 
-/// Records a trace event if tracing is enabled.
-fn record(
-    trace: &mut Option<&mut Trace>,
-    time: SimTime,
-    phase: usize,
-    node: NodeId,
-    kind: TraceKind,
-    bytes: u64,
-) {
-    if let Some(t) = trace {
-        t.record(TraceEvent {
-            time,
-            phase,
-            node,
-            kind,
-            bytes,
-        });
-    }
+/// The report of a drained one-query driver, and its query's span
+/// windows (empty unless the run recorded spans).
+fn solo_report(sim: &Simulation, plan: &TaskPlan, mq: Mq) -> (Report, Vec<PhaseSpans>) {
+    let m = &mq.machine;
+    let q = mq.runs.into_iter().next().expect("the run's query");
+    let report = Report {
+        task: plan.task,
+        architecture: sim.arch.short_name(),
+        disks: m.nodes(),
+        phases: q.eng.phases,
+        disk_service: m.disk_service_histogram(),
+        events: mq.work_popped,
+        faults_injected: mq.faults.injected,
+        recovery_time: m.recovery_busy(),
+        work_redistributed: m.work_redistributed(),
+        aborted: q.status == QueryStatus::Aborted,
+        downtime: m.disk_downtime(q.finished),
+    };
+    (report, q.eng.phase_spans)
 }
 
 /// Snapshot of cumulative machine counters, for per-phase deltas.
@@ -797,15 +809,6 @@ pub struct ExecRun<'p> {
 }
 
 impl<'p> ExecRun<'p> {
-    fn start_inner(sim: &Simulation, plan: &'p TaskPlan, profiled: bool) -> Self {
-        plan.validate().expect("invalid task plan");
-        ExecRun {
-            sim: sim.clone(),
-            plan,
-            mq: Mq::one_query(sim, plan, profiled),
-        }
-    }
-
     /// The run's one query.
     fn query(&self) -> &QueryRun {
         &self.mq.runs[0]
@@ -816,7 +819,7 @@ impl<'p> ExecRun<'p> {
     /// boundary falling before `t`, then pauses at an exact event
     /// boundary. Pausing and resuming never changes the final report.
     pub fn run_until(&mut self, t: SimTime) {
-        self.mq.run(Some(t), &mut None, &mut None);
+        self.mq.run(Some(t));
     }
 
     /// Whether the run has completed (its report is final).
@@ -875,44 +878,9 @@ impl<'p> ExecRun<'p> {
 
     /// Runs to completion and returns the report — field-identical to
     /// [`Simulation::run_plan`] on the same configuration.
-    pub fn finish(self) -> Report {
-        self.into_parts().0
-    }
-
-    /// Runs to completion and returns the report plus the span trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run was not started with profiling
-    /// ([`Simulation::start_profiled`]).
-    pub fn finish_profiled(self) -> (Report, SpanTrace) {
-        let (report, spans) = self.into_parts();
-        (report, spans.expect("run was started without profiling"))
-    }
-
-    /// Runs to completion and builds the report (and span trace, when
-    /// profiled).
-    fn into_parts(mut self) -> (Report, Option<SpanTrace>) {
-        self.mq.run(None, &mut None, &mut None);
-        let mq = self.mq;
-        let m = &mq.machine;
-        let q = mq.runs.into_iter().next().expect("the run's query");
-        let report = Report {
-            task: self.plan.task,
-            architecture: self.sim.arch.short_name(),
-            disks: m.nodes(),
-            phases: q.eng.phases,
-            disk_service: m.disk_service_histogram(),
-            events: mq.work_popped,
-            faults_injected: mq.faults.injected,
-            recovery_time: m.recovery_busy(),
-            work_redistributed: m.work_redistributed(),
-            aborted: q.status == QueryStatus::Aborted,
-            downtime: m.disk_downtime(q.finished),
-        };
-        let phases = q.eng.phase_spans;
-        let spans = mq.spans.map(|arena| SpanTrace { arena, phases });
-        (report, spans)
+    pub fn finish(mut self) -> Report {
+        self.mq.run(None);
+        solo_report(&self.sim, self.plan, self.mq).0
     }
 }
 
@@ -922,16 +890,7 @@ impl ExecRun<'_> {
     /// pending event, per-node progress, and phase-start counter
     /// snapshot — in the exact-integer state codec. Per-batch costs and
     /// queue configuration are recomputed on load, never stored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run is profiled: the span arena is not captured on
-    /// disk (fork in memory to keep profiling across a branch point).
     pub fn save_state(&self, w: &mut StateWriter) {
-        assert!(
-            self.mq.spans.is_none(),
-            "profiled runs cannot be checkpointed to disk"
-        );
         let q = self.query();
         let eng = &q.eng;
         let open = q.state == QState::Running;
@@ -1014,7 +973,7 @@ impl<'p> ExecRun<'p> {
         if plan.validate().is_err() {
             return Err(StateError::new("invalid task plan"));
         }
-        let mut run = ExecRun::start_inner(sim, plan, false);
+        let mut run = sim.start(plan);
         let clock = SimTime::from_nanos(r.num("clock_ns")?);
         let events: u64 = r.num("events")?;
         let aborted = r.flag("aborted")?;
@@ -1575,11 +1534,14 @@ pub(crate) struct PhaseEngine {
     /// deterministic because record order follows the event pop order.
     last: SpanId,
     last_end: SimTime,
-    /// Span window and anchor of every phase ended so far (profiled runs
-    /// only).
+    /// Span window and anchor of every phase ended so far (only while
+    /// the driver's span arena is enabled).
     pub(crate) phase_spans: Vec<PhaseSpans>,
     /// Report of every phase ended so far.
     pub(crate) phases: Vec<PhaseReport>,
+    /// The query's trace rows, when its run keeps them: per-query output
+    /// like its phase reports and span windows.
+    pub(crate) trace: Option<Trace>,
 }
 
 impl PhaseEngine {
@@ -1607,6 +1569,7 @@ impl PhaseEngine {
             last_end: SimTime::ZERO,
             phase_spans: Vec::new(),
             phases: Vec::new(),
+            trace: None,
         }
     }
 
@@ -1694,7 +1657,7 @@ impl PhaseEngine {
         &mut self,
         m: &mut Machine,
         q: &mut EventQueue<Ev>,
-        spans: &mut Option<&mut SpanArena>,
+        spans: &mut SpanArena,
         plan: &TaskPlan,
         at: SimTime,
     ) -> Result<(), NoSurvivor> {
@@ -1782,15 +1745,13 @@ impl PhaseEngine {
         &mut self,
         m: &mut Machine,
         q: &mut EventQueue<Ev>,
-        spans: &mut Option<&mut SpanArena>,
-        trace: &mut Option<&mut Trace>,
+        spans: &mut SpanArena,
         plan: &TaskPlan,
         (now, ev): (SimTime, Ev),
     ) -> Result<(), NoSurvivor> {
         self.inflight -= 1;
         self.horizon = self.horizon.max(now);
         let phase = &plan.phases[self.phase_ix];
-        let phase_ix = self.phase_ix;
         match ev {
             Ev::BatchRead {
                 node,
@@ -1801,14 +1762,7 @@ impl PhaseEngine {
                 if self.any_dead && self.nodes[node].dead {
                     return self.lose(m, q, spans, node, bytes, now);
                 }
-                record(
-                    trace,
-                    now,
-                    phase_ix,
-                    NodeId::Node(node),
-                    TraceKind::ReadDone,
-                    bytes,
-                );
+                self.record(now, NodeId::Node(node), TraceKind::ReadDone, bytes);
                 let c = &self.costs;
                 let done = charge_cpu(m, node, now, (c.os_batch, "os"), bytes, &c.read, c.perf);
                 let done = done.max(now);
@@ -1841,14 +1795,7 @@ impl PhaseEngine {
                     // must re-read the underlying batch.
                     return self.lose(m, q, spans, node, bytes, now);
                 }
-                record(
-                    trace,
-                    now,
-                    phase_ix,
-                    NodeId::Node(node),
-                    TraceKind::BatchProcessed,
-                    bytes,
-                );
+                self.record(now, NodeId::Node(node), TraceKind::BatchProcessed, bytes);
                 self.nodes[node].processed += 1;
                 // Keep the pipeline full.
                 if self.nodes[node].issued < self.nodes[node].batches_total {
@@ -1929,14 +1876,7 @@ impl PhaseEngine {
                     }
                     return Ok(());
                 }
-                record(
-                    trace,
-                    now,
-                    phase_ix,
-                    NodeId::Node(dst),
-                    TraceKind::PeerArrive,
-                    bytes,
-                );
+                self.record(now, NodeId::Node(dst), TraceKind::PeerArrive, bytes);
                 let c = &self.costs;
                 let prefix = (c.msg_cost(m, bytes), "net-recv");
                 let done = charge_cpu(m, dst, now, prefix, bytes, &c.recv, c.perf).max(now);
@@ -1967,25 +1907,11 @@ impl PhaseEngine {
                 if self.any_dead && self.nodes[node].dead {
                     return Ok(());
                 }
-                record(
-                    trace,
-                    now,
-                    phase_ix,
-                    NodeId::Node(node),
-                    TraceKind::RecvProcessed,
-                    bytes,
-                );
+                self.record(now, NodeId::Node(node), TraceKind::RecvProcessed, bytes);
                 if phase.write_received {
                     let aligned = align_sectors(bytes);
                     let done = m.write(node, now, aligned, self.region, self.writes);
-                    record(
-                        trace,
-                        done,
-                        phase_ix,
-                        NodeId::Node(node),
-                        TraceKind::WriteDone,
-                        aligned,
-                    );
+                    self.record(done, NodeId::Node(node), TraceKind::WriteDone, aligned);
                     self.span(
                         spans,
                         ev_span,
@@ -2004,14 +1930,7 @@ impl PhaseEngine {
                 span: ev_span,
                 ..
             } => {
-                record(
-                    trace,
-                    now,
-                    phase_ix,
-                    NodeId::FrontEnd,
-                    TraceKind::FeArrive,
-                    bytes,
-                );
+                self.record(now, NodeId::FrontEnd, TraceKind::FeArrive, bytes);
                 let cost = if bytes == BATCH_BYTES {
                     self.costs.fe_batch
                 } else {
@@ -2082,12 +2001,7 @@ impl PhaseEngine {
     /// its out-of-band positioning tail, adds the global barrier (no node
     /// starts the next phase before all have finished this one), records
     /// both on the critical path and advances the plan cursor.
-    pub(crate) fn close(
-        &mut self,
-        m: &Machine,
-        spans: &mut Option<&mut SpanArena>,
-        plan: &TaskPlan,
-    ) -> SimTime {
+    pub(crate) fn close(&mut self, m: &Machine, spans: &mut SpanArena, plan: &TaskPlan) -> SimTime {
         let phase = &plan.phases[self.phase_ix];
         // Byte conservation: the nodes together must have issued exactly
         // the plan's read bytes — the per-node split drops nothing, and
@@ -2116,18 +2030,24 @@ impl PhaseEngine {
         // exactly at `end` on healthy runs), making it the anchor.
         let barrier_end = end + m.barrier_costs().barrier(m.nodes());
         self.synthetic_span(spans, BARRIER_RESOURCE, SpanKind::Barrier, end, barrier_end);
-        self.end_phase(m, spans.is_some(), plan, barrier_end);
+        self.end_phase(m, spans, plan, barrier_end);
         barrier_end
     }
 
     /// Ends the open phase at `end`: records its report (the machine's
-    /// counters since the phase began) and, when profiled, its span
-    /// window, then advances the plan cursor. [`PhaseEngine::close`]
-    /// ends a drained phase here; the abort clock ends an open phase
-    /// here directly, with no barrier.
-    pub(crate) fn end_phase(&mut self, m: &Machine, profiled: bool, plan: &TaskPlan, end: SimTime) {
+    /// counters since the phase began) and, when `spans` is enabled, its
+    /// span window, then advances the plan cursor.
+    /// [`PhaseEngine::close`] ends a drained phase here; the abort clock
+    /// ends an open phase here directly, with no barrier.
+    pub(crate) fn end_phase(
+        &mut self,
+        m: &Machine,
+        spans: &SpanArena,
+        plan: &TaskPlan,
+        end: SimTime,
+    ) {
         let name = plan.phases[self.phase_ix].name;
-        if profiled {
+        if spans.is_enabled() {
             self.phase_spans.push(PhaseSpans {
                 name,
                 start: self.start,
@@ -2160,13 +2080,27 @@ impl PhaseEngine {
         q.push(t, ev);
     }
 
-    /// Records a span if profiling is enabled — one `Option` check per
-    /// site when it is not — on this engine's query lane.
+    /// Appends a trace row, when the engine keeps them.
+    #[inline]
+    fn record(&mut self, time: SimTime, node: NodeId, kind: TraceKind, bytes: u64) {
+        if let Some(t) = &mut self.trace {
+            t.record(TraceEvent {
+                time,
+                phase: self.phase_ix,
+                node,
+                kind,
+                bytes,
+            });
+        }
+    }
+
+    /// Records a span on this engine's query lane: one branch per site
+    /// when the arena is disabled.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn span(
         &mut self,
-        spans: &mut Option<&mut SpanArena>,
+        spans: &mut SpanArena,
         parent: SpanId,
         resource: Resource,
         kind: SpanKind,
@@ -2175,37 +2109,35 @@ impl PhaseEngine {
         end: SimTime,
         bytes: u64,
     ) -> SpanId {
-        match spans {
-            Some(arena) => {
-                arena.set_query(self.qid);
-                let id = arena.record(
-                    parent,
-                    resource.span_resource(),
-                    kind,
-                    node,
-                    start,
-                    end,
-                    bytes,
-                );
-                self.anchor(id, end)
-            }
-            None => SpanId::NONE,
+        if !spans.is_enabled() {
+            return SpanId::NONE;
         }
+        spans.set_query(self.qid);
+        let id = spans.record(
+            parent,
+            resource.span_resource(),
+            kind,
+            node,
+            start,
+            end,
+            bytes,
+        );
+        self.anchor(id, end)
     }
 
     /// Records a synthetic front-end span (a positioning tail or a
     /// barrier) chained onto the current anchor.
     fn synthetic_span(
         &mut self,
-        spans: &mut Option<&mut SpanArena>,
+        spans: &mut SpanArena,
         resource: &'static str,
         kind: SpanKind,
         start: SimTime,
         end: SimTime,
     ) {
-        if let Some(arena) = spans {
-            arena.set_query(self.qid);
-            let id = arena.record(self.last, resource, kind, FRONT_END_NODE, start, end, 0);
+        if spans.is_enabled() {
+            spans.set_query(self.qid);
+            let id = spans.record(self.last, resource, kind, FRONT_END_NODE, start, end, 0);
             self.anchor(id, end);
         }
     }
@@ -2225,7 +2157,7 @@ impl PhaseEngine {
         &mut self,
         m: &mut Machine,
         q: &mut EventQueue<Ev>,
-        spans: &mut Option<&mut SpanArena>,
+        spans: &mut SpanArena,
         node: usize,
         bytes: u64,
         now: SimTime,
@@ -2248,7 +2180,7 @@ impl PhaseEngine {
         &mut self,
         m: &mut Machine,
         q: &mut EventQueue<Ev>,
-        spans: &mut Option<&mut SpanArena>,
+        spans: &mut SpanArena,
         now: SimTime,
     ) -> Result<(), NoSurvivor> {
         let window = m.window() as u64;
@@ -2275,7 +2207,7 @@ impl PhaseEngine {
         &mut self,
         m: &mut Machine,
         q: &mut EventQueue<Ev>,
-        spans: &mut Option<&mut SpanArena>,
+        spans: &mut SpanArena,
         node: usize,
         now: SimTime,
         parent: SpanId,
@@ -2332,7 +2264,7 @@ impl PhaseEngine {
         &mut self,
         m: &mut Machine,
         q: &mut EventQueue<Ev>,
-        spans: &mut Option<&mut SpanArena>,
+        spans: &mut SpanArena,
         node: usize,
         now: SimTime,
         parent: SpanId,
@@ -2378,7 +2310,7 @@ impl PhaseEngine {
         &mut self,
         m: &mut Machine,
         q: &mut EventQueue<Ev>,
-        spans: &mut Option<&mut SpanArena>,
+        spans: &mut SpanArena,
         src: usize,
         dst: usize,
         now: SimTime,
@@ -2424,7 +2356,7 @@ impl PhaseEngine {
         &mut self,
         m: &mut Machine,
         q: &mut EventQueue<Ev>,
-        spans: &mut Option<&mut SpanArena>,
+        spans: &mut SpanArena,
         src: usize,
         now: SimTime,
         bytes: u64,

@@ -11,10 +11,11 @@
 //!   phase, no event-loop cost). [`Attribution`] reduces those deltas to
 //!   a per-resource peak/overall utilization table and names the
 //!   bottleneck.
-//! * **Opt in.** A [`MetricsBuilder`] threaded through the executor
-//!   samples busy-fraction time-series and event-queue depth on a
-//!   simulated-time interval, yielding [`RunMetrics`]. Costs one branch
-//!   per event when enabled, one `Option` check when not.
+//! * **Opt in.** A [`MetricsBuilder`], owned by the executor's driver
+//!   while a run keeps one, samples busy-fraction time-series and
+//!   event-queue depth on a simulated-time interval, yielding
+//!   [`RunMetrics`]. Costs one branch per event when enabled, one
+//!   `Option` check when not.
 
 use std::sync::OnceLock;
 
@@ -258,8 +259,6 @@ pub struct RunMetrics {
     pub utilization: Vec<(Resource, u32, GaugeSeries)>,
     /// Event-queue depth at each sample instant.
     pub queue_depth: GaugeSeries,
-    /// Total simulator events processed by the run.
-    pub events: u64,
 }
 
 /// Accumulates [`RunMetrics`] as the executor hands it sample points.
@@ -267,8 +266,9 @@ pub struct RunMetrics {
 /// The executor checks [`MetricsBuilder::due`] on every popped event (one
 /// comparison) and calls [`MetricsBuilder::sample`] only when the
 /// sampling interval has elapsed in simulated time, so the cost of
-/// collection is independent of the event rate.
-#[derive(Debug)]
+/// collection is independent of the event rate. `Clone` forks a run's
+/// sampler with the run.
+#[derive(Debug, Clone)]
 pub struct MetricsBuilder {
     interval: Duration,
     next_due: SimTime,
@@ -296,7 +296,7 @@ impl MetricsBuilder {
     /// # Panics
     ///
     /// Panics if `interval` is zero.
-    pub fn with_interval(interval: Duration) -> Self {
+    fn with_interval(interval: Duration) -> Self {
         assert!(!interval.is_zero(), "sampling interval must be positive");
         MetricsBuilder {
             interval,
@@ -335,9 +335,8 @@ impl MetricsBuilder {
         self.next_due = now + self.interval;
     }
 
-    /// Finalizes into [`RunMetrics`]; `events` is the run's total
-    /// processed-event count (see [`crate::Report::events`]).
-    pub fn finish(self, events: u64) -> RunMetrics {
+    /// Finalizes into [`RunMetrics`].
+    pub fn finish(self) -> RunMetrics {
         RunMetrics {
             sample_interval: self.interval,
             utilization: self
@@ -346,7 +345,6 @@ impl MetricsBuilder {
                 .map(|(r, s)| (r, s.lanes(), s.series().clone()))
                 .collect(),
             queue_depth: self.queue_depth,
-            events,
         }
     }
 }
@@ -473,8 +471,7 @@ mod tests {
             }],
             3,
         );
-        let m = mb.finish(42);
-        assert_eq!(m.events, 42);
+        let m = mb.finish();
         assert_eq!(m.queue_depth.samples(), &[(t1, 7.0), (t2, 3.0)]);
         let (resource, lanes, series) = &m.utilization[0];
         assert_eq!(*resource, Resource::DiskMedia);

@@ -38,6 +38,14 @@
 //!      query ends `Aborted`, its open phase (a tail and barrier count as
 //!      open) ending there.
 //!
+//! # Observers
+//!
+//! Each recorder lives in the state it observes, so the event loop takes
+//! no recorder parameter. The driver owns the run's span arena, disabled
+//! unless the run is profiled (no allocation, one branch per record
+//! site), and its optional utilization sampler, sampled before each work
+//! event. Each query's engine owns its optional trace rows.
+//!
 //! # Determinism
 //!
 //! Everything is driven by one event queue ordered by exact
@@ -69,7 +77,6 @@ use crate::exec::{Ev, Faults, PhaseEngine, Simulation};
 use crate::machine::Machine;
 use crate::metrics::MetricsBuilder;
 use crate::profile::{LoadSpanTrace, QuerySpans};
-use crate::trace::Trace;
 use crate::workload::{AdmissionPolicy, ArrivalProcess, DeadlinePolicy, WorkloadSpec};
 
 /// Terminal status of one query in a loaded run.
@@ -322,7 +329,12 @@ pub(crate) struct Mq {
     next_closed: usize,
     closed: bool,
     backoff_rng: SplitMix64,
-    pub(crate) spans: Option<SpanArena>,
+    /// The run's causal spans: disabled (no allocation, one branch per
+    /// record site) unless the run is profiled.
+    pub(crate) spans: SpanArena,
+    /// The run's utilization sampler, sampled before each work event
+    /// when the run keeps one.
+    pub(crate) metrics: Option<MetricsBuilder>,
     /// Work events popped so far, not counting one that waits in
     /// `pending`.
     pub(crate) work_popped: u64,
@@ -356,15 +368,9 @@ fn queue_hint(m: &Machine, concurrent: usize, queries: usize) -> usize {
 }
 
 impl Mq {
-    /// A driver on a fresh machine for `sim`, with nothing queued; its
-    /// queue is sized for `queries` queries.
-    fn new(
-        sim: &Simulation,
-        adm: AdmissionPolicy,
-        dl: DeadlinePolicy,
-        queries: usize,
-        profiled: bool,
-    ) -> Mq {
+    /// A driver on a fresh machine for `sim`, with nothing queued and no
+    /// recorder; its queue is sized for `queries` queries.
+    fn new(sim: &Simulation, adm: AdmissionPolicy, dl: DeadlinePolicy, queries: usize) -> Mq {
         let machine = Machine::new(sim.architecture());
         let cap = queue_hint(&machine, adm.max_concurrent, queries);
         Mq {
@@ -383,7 +389,8 @@ impl Mq {
             // Decorrelate the backoff jitter stream from the machine's
             // seeded models without a second seed knob.
             backoff_rng: SplitMix64::new(sim.seed() ^ 0x9E37_79B9_7F4A_7C15),
-            spans: profiled.then(SpanArena::enabled),
+            spans: SpanArena::disabled(),
+            metrics: None,
             work_popped: 0,
             halted: false,
         }
@@ -395,19 +402,23 @@ impl Mq {
         workload: &WorkloadSpec,
         adm: AdmissionPolicy,
         dl: DeadlinePolicy,
-        profiled: bool,
     ) -> Mq {
         assert!(workload.queries > 0, "workload needs at least one query");
-        let mut mq = Mq::new(sim, adm, dl, workload.queries as usize, profiled);
+        let mut mq = Mq::new(sim, adm, dl, workload.queries as usize);
         mq.add_workload(sim, workload, Duration::ZERO);
         mq
     }
 
     /// A driver with `plan` as its one query, arriving at time zero: the
     /// shape of every solo run.
-    pub(crate) fn one_query(sim: &Simulation, plan: &TaskPlan, profiled: bool) -> Mq {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan fails validation.
+    pub(crate) fn one_query(sim: &Simulation, plan: &TaskPlan) -> Mq {
+        plan.validate().expect("invalid task plan");
         let (adm, dl) = (AdmissionPolicy::default(), DeadlinePolicy::default());
-        let mut mq = Mq::new(sim, adm, dl, 1, profiled);
+        let mut mq = Mq::new(sim, adm, dl, 1);
         mq.plans.push((None, plan.clone()));
         mq.push_query(0, SimTime::ZERO);
         mq.q.push(SimTime::ZERO, Ev::Admit { query: 0 });
@@ -415,16 +426,9 @@ impl Mq {
     }
 
     /// The run's one event loop: processes events until the queue drains
-    /// or, with a `limit`, until the next event is at or past it. Trace
-    /// rows come from the engines' work events and metrics samples are
-    /// taken before each work event; both observers are optional. The
+    /// or, with a `limit`, until the next event is at or past it. The
     /// module docs give the fault rule it applies.
-    pub(crate) fn run(
-        &mut self,
-        limit: Option<SimTime>,
-        trace: &mut Option<&mut Trace>,
-        metrics: &mut Option<&mut MetricsBuilder>,
-    ) {
+    pub(crate) fn run(&mut self, limit: Option<SimTime>) {
         if self.halted {
             return;
         }
@@ -459,12 +463,12 @@ impl Mq {
                 Ev::Retry { query } => self.on_retry(query as usize, now),
                 ev => {
                     // Metrics-off cost: one `Option` check per event.
-                    if let Some(mb) = metrics.as_deref_mut() {
+                    if let Some(mb) = &mut self.metrics {
                         if mb.due(now) {
                             mb.sample(now, &self.machine.resource_usage(), self.q.len());
                         }
                     }
-                    self.on_work(now, ev, trace);
+                    self.on_work(now, ev);
                 }
             }
         }
@@ -494,8 +498,7 @@ impl Mq {
                 QState::Done => continue,
                 QState::Running => {
                     let plan = &self.plans[run.plan_ix].1;
-                    let profiled = self.spans.is_some();
-                    run.eng.end_phase(&self.machine, profiled, plan, abort);
+                    run.eng.end_phase(&self.machine, &self.spans, plan, abort);
                 }
                 QState::Barrier => run.eng.cut_tail(abort),
                 QState::Pending | QState::Waiting | QState::AwaitRetry => {}
@@ -559,12 +562,8 @@ impl Mq {
         let plan = &self.plans[run.plan_ix].1;
         run.eng.begin(&mut self.machine, plan, at);
         run.eng.detect_failed(&self.machine);
-        let spans = &mut self.spans.as_mut();
-        if run
-            .eng
-            .prime(&mut self.machine, &mut self.q, spans, plan, at)
-            .is_err()
-        {
+        let (m, q) = (&mut self.machine, &mut self.q);
+        if run.eng.prime(m, q, &mut self.spans, plan, at).is_err() {
             self.faults.abort(at);
         } else if run.eng.inflight == 0 && self.faults.abort_at.is_none() {
             // Degenerate phase (nothing to read): complete immediately.
@@ -574,7 +573,7 @@ impl Mq {
 
     /// Hands one popped work event to the engine of the query it names.
     #[inline]
-    fn on_work(&mut self, now: SimTime, ev: Ev, trace: &mut Option<&mut Trace>) {
+    fn on_work(&mut self, now: SimTime, ev: Ev) {
         let qid = ev.work_query().expect("work event carries a query") as usize;
         self.work_popped += 1;
         let run = &mut self.runs[qid];
@@ -582,11 +581,10 @@ impl Mq {
         match run.state {
             QState::Running => {
                 let plan = &self.plans[run.plan_ix].1;
-                let spans = &mut self.spans.as_mut();
-                let m = &mut self.machine;
+                let (m, q) = (&mut self.machine, &mut self.q);
                 if run
                     .eng
-                    .handle(m, &mut self.q, spans, trace, plan, (now, ev))
+                    .handle(m, q, &mut self.spans, plan, (now, ev))
                     .is_err()
                 {
                     self.faults.abort(now);
@@ -620,7 +618,7 @@ impl Mq {
     fn complete_phase(&mut self, qid: usize) {
         let run = &mut self.runs[qid];
         let plan = &self.plans[run.plan_ix].1;
-        let end = run.eng.close(&self.machine, &mut self.spans.as_mut(), plan);
+        let end = run.eng.close(&self.machine, &mut self.spans, plan);
         run.state = QState::Barrier;
         self.q.push(
             end,
@@ -826,8 +824,11 @@ impl Simulation {
         deadline: DeadlinePolicy,
         profiled: bool,
     ) -> (LoadReport, Option<LoadSpanTrace>) {
-        let mut mq = Mq::workload(self, workload, admission, deadline, profiled);
-        mq.run(None, &mut None, &mut None);
+        let mut mq = Mq::workload(self, workload, admission, deadline);
+        if profiled {
+            mq.spans = SpanArena::enabled();
+        }
+        mq.run(None);
         self.collect_load(mq, workload.summary(), admission, deadline)
     }
 
@@ -891,8 +892,8 @@ impl Simulation {
             work_redistributed: mq.machine.work_redistributed(),
             downtime: mq.machine.disk_downtime(end),
         };
-        let trace = mq.spans.map(|arena| LoadSpanTrace {
-            arena,
+        let trace = mq.spans.is_enabled().then(|| LoadSpanTrace {
+            arena: mq.spans,
             queries: mq
                 .runs
                 .iter()
@@ -923,7 +924,7 @@ impl Simulation {
         deadline: DeadlinePolicy,
     ) -> WarmStart {
         WarmStart {
-            mq: Mq::workload(self, warmup, admission, deadline, false),
+            mq: Mq::workload(self, warmup, admission, deadline),
             sim: self.clone(),
             workload: warmup.summary(),
             admission,
@@ -952,7 +953,7 @@ impl WarmStart {
     /// Drains every queued arrival and its consequences — the warmup
     /// segment runs to completion and the clock parks at its last event.
     pub fn run_to_idle(&mut self) {
-        self.mq.run(None, &mut None, &mut None);
+        self.mq.run(None);
     }
 
     /// The fork origin: the time of the last processed event. Extended
@@ -1001,7 +1002,7 @@ impl WarmStart {
     /// slice `outcomes` at [`WarmStart::measured_from`] for the measured
     /// segment).
     pub fn finish(mut self) -> LoadReport {
-        self.mq.run(None, &mut None, &mut None);
+        self.mq.run(None);
         let (report, _) =
             self.sim
                 .collect_load(self.mq, self.workload, self.admission, self.deadline);

@@ -61,15 +61,6 @@ impl PhaseReport {
         }
         self.cpu_idle().as_secs_f64() / total
     }
-
-    /// Busy fraction of `resource` during this phase (0..1); zero when
-    /// the machine does not own that resource.
-    pub fn utilization_of(&self, resource: Resource) -> f64 {
-        self.resources
-            .iter()
-            .find(|u| u.resource == resource)
-            .map_or(0.0, |u| u.utilization(self.elapsed))
-    }
 }
 
 /// The result of simulating one task on one configuration.
@@ -290,14 +281,6 @@ mod tests {
         // 2 nodes × 10 s = 20 s capacity, 15 s busy → 5 s idle.
         assert_eq!(p.cpu_idle(), Duration::from_secs(5));
         assert!((p.idle_fraction() - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_of_reads_resource_deltas() {
-        let p = sample_phase();
-        // 12 s busy over 10 s × 2 lanes = 60%.
-        assert!((p.utilization_of(Resource::DiskMedia) - 0.6).abs() < 1e-9);
-        assert_eq!(p.utilization_of(Resource::MemoryFabric), 0.0);
     }
 
     #[test]

@@ -72,11 +72,6 @@ impl NodeId {
             NodeId::FrontEnd => None,
         }
     }
-
-    /// True for the front-end.
-    pub fn is_front_end(self) -> bool {
-        matches!(self, NodeId::FrontEnd)
-    }
 }
 
 impl fmt::Display for NodeId {
@@ -168,7 +163,7 @@ impl Trace {
 
     /// Creates a trace retaining at most `capacity` events (counts keep
     /// accumulating past the cap; the event list stops growing).
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         Trace {
             // Traced runs almost always fill the buffer, so allocate it up
             // front (capped so a huge requested capacity doesn't reserve
@@ -333,7 +328,6 @@ mod tests {
     fn node_id_distinguishes_front_end() {
         assert_eq!(NodeId::Node(7).index(), Some(7));
         assert_eq!(NodeId::FrontEnd.index(), None);
-        assert!(NodeId::FrontEnd.is_front_end());
         assert_eq!(format!("{}", NodeId::Node(7)), "7");
         assert_eq!(format!("{}", NodeId::FrontEnd), "fe");
     }

@@ -1,22 +1,32 @@
-//! Out-of-range `--memory` and `--interconnect` values are rejected
-//! while the command line is parsed: exit status 1 and a message naming
-//! the flag, never a panic or an abort inside the simulator.
+//! Out-of-range `--memory` and `--interconnect` values, and architecture
+//! settings the chosen `--arch` does not have, are rejected while the
+//! command line is parsed: exit status 1 and a message naming the flag,
+//! never a panic, an abort inside the simulator or a silent no-op.
 
 use std::process::Command;
 
-/// Runs `howsim --arch active --disks 4 --task select <flag> <value>` and
-/// requires a clean rejection that names `flag`.
-fn rejects(flag: &str, value: &str) {
+/// Runs `howsim --arch <arch> --disks 4 --task select <args> --no-cache`
+/// and requires a clean rejection whose message contains each of `names`.
+fn rejects_on(arch: &str, args: &[&str], names: &[&str]) {
     let out = Command::new(env!("CARGO_BIN_EXE_howsim"))
-        .args(["--arch", "active", "--disks", "4", "--task", "select"])
-        .args([flag, value, "--no-cache"])
+        .args(["--arch", arch, "--disks", "4", "--task", "select"])
+        .args(args)
+        .arg("--no-cache")
         .output()
         .expect("run howsim");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
-    assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
-    assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
-    assert!(out.stdout.is_empty(), "{flag} {value}: nothing simulated");
+    let case = format!("--arch {arch} {}", args.join(" "));
+    assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+    assert_eq!(out.status.code(), Some(1), "{case}: {stderr}");
+    for name in names {
+        assert!(stderr.contains(name), "{case}: {stderr}");
+    }
+    assert!(out.stdout.is_empty(), "{case}: nothing simulated");
+}
+
+/// Rejects `<flag> <value>` on `--arch active`, naming `flag`.
+fn rejects(flag: &str, value: &str) {
+    rejects_on("active", &[flag, value], &[flag]);
 }
 
 #[test]
@@ -58,4 +68,37 @@ fn nan_interconnect_is_rejected() {
 #[test]
 fn infinite_interconnect_is_rejected() {
     rejects("--interconnect", "inf");
+}
+
+#[test]
+fn memory_off_active_disks_is_rejected() {
+    for arch in ["cluster", "smp"] {
+        for mb in ["1", "64"] {
+            rejects_on(arch, &["--memory", mb], &["--memory", "--arch active"]);
+        }
+    }
+}
+
+#[test]
+fn interconnect_on_the_cluster_is_rejected() {
+    let names = ["--interconnect", "--arch active", "--arch smp"];
+    rejects_on("cluster", &["--interconnect", "400"], &names);
+}
+
+#[test]
+fn no_direct_off_active_disks_is_rejected() {
+    for arch in ["cluster", "smp"] {
+        rejects_on(arch, &["--no-direct"], &["--no-direct", "--arch active"]);
+    }
+}
+
+#[test]
+fn fibre_switch_off_active_disks_is_rejected() {
+    for arch in ["cluster", "smp"] {
+        rejects_on(
+            arch,
+            &["--fibre-switch"],
+            &["--fibre-switch", "--arch active"],
+        );
+    }
 }

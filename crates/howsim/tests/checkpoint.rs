@@ -57,27 +57,6 @@ fn restored_join_is_byte_identical_across_backends() {
     let _ = std::fs::remove_file(&path);
 }
 
-#[test]
-fn profiled_fork_keeps_the_critical_path() {
-    // Profiled runs cannot be serialized (spans hold arena state), but
-    // in-memory forks of a profiled prefix must still reproduce the
-    // from-scratch critical-path decomposition exactly.
-    let arch = Architecture::active_disks(4);
-    let plan = tasks::plan_task(TaskKind::Sort, &arch);
-    let sim = Simulation::new(arch).with_seed(3);
-    let (scratch, scratch_spans) = sim.start_profiled(&plan).finish_profiled();
-    let scratch_cp = scratch_spans.critical_path();
-
-    let mut prefix = sim.start_profiled(&plan);
-    prefix
-        .run_until(SimTime::ZERO + Duration::from_secs_f64(scratch.elapsed().as_secs_f64() * 0.4));
-    let (report, spans) = prefix.fork().finish_profiled();
-    let cp = spans.critical_path();
-    assert_eq!(report, scratch);
-    assert_eq!(cp.total, scratch_cp.total);
-    assert_eq!(cp.segments, scratch_cp.segments);
-}
-
 /// A 16-node cluster join whose repartitioning is skewed by hashing
 /// Zipf(1.0) keys over 100 k distinct values: every shuffle message is
 /// routed by the phase's weighted-fair schedule.

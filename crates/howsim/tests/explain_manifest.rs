@@ -20,7 +20,7 @@ fn identical_runs_produce_byte_identical_manifests() {
         let (report, _) = sim.run_plan_observed(&plan, Some(&mut trace), Some(&mut metrics), false);
         RunManifest::new(&arch, &report)
             .with_seed(42)
-            .with_metrics(metrics.finish(report.events))
+            .with_metrics(metrics.finish())
             .with_trace(trace.summary())
             .to_json()
     };
@@ -70,8 +70,7 @@ fn instrumented_run_collects_utilization_series() {
     let plan = tasks::plan_task(TaskKind::Select, &arch);
     let mut metrics = MetricsBuilder::new();
     let (report, _) = sim.run_plan_observed(&plan, None, Some(&mut metrics), false);
-    let m = metrics.finish(report.events);
-    assert_eq!(m.events, report.events);
+    let m = metrics.finish();
     assert!(report.events > 0);
     // SMP owns disk media, worker CPUs, front-end CPU, interconnect,
     // memory fabric, plus the (idle here) recovery lane.

@@ -153,11 +153,6 @@ impl ClusterFabric {
         self.nic_tx[host].bytes_carried()
     }
 
-    /// When `host`'s receive NIC frees up (end-point congestion indicator).
-    pub fn rx_free_at(&self, host: usize) -> SimTime {
-        self.nic_rx[host].free_at()
-    }
-
     /// Cumulative serialization time across all *worker* NICs (tx + rx
     /// lanes; the front-end's NIC is excluded — it is reported separately
     /// as the front-end link).

@@ -634,28 +634,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules a batch of events in order (the executor's phase
-    /// fan-out primes every node's pipeline window in one burst). Each
-    /// element behaves exactly like an individual [`EventQueue::push`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event's time is earlier than the last popped event.
-    pub fn push_many<I>(&mut self, batch: I)
-    where
-        I: IntoIterator<Item = (SimTime, E)>,
-    {
-        let iter = batch.into_iter();
-        if let (_, Some(hint)) = (iter.size_hint().0, iter.size_hint().1) {
-            if let Backend::Heap(h) = &mut self.backend {
-                h.reserve(hint);
-            }
-        }
-        for (time, payload) in iter {
-            self.push(time, payload);
-        }
-    }
-
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let ev = match &mut self.backend {
@@ -949,24 +927,6 @@ mod tests {
         q.push(SimTime::from_nanos(100), 100);
         assert_eq!(q.len(), 10);
         assert_eq!(q.drain().count(), 10);
-    }
-
-    #[test]
-    fn push_many_matches_individual_pushes() {
-        for backend in BACKENDS {
-            let mut a = queue_u64(backend);
-            let mut b = queue_u64(backend);
-            let batch: Vec<(SimTime, u64)> = (0..50)
-                .map(|i| (SimTime::from_nanos((i * 37) % 13), i))
-                .collect();
-            for &(t, e) in &batch {
-                a.push(t, e);
-            }
-            b.push_many(batch);
-            let va: Vec<_> = a.drain().collect();
-            let vb: Vec<_> = b.drain().collect();
-            assert_eq!(va, vb, "{backend:?}");
-        }
     }
 
     // ----- Wheel edge cases -------------------------------------------

@@ -284,6 +284,7 @@ impl SpanArena {
     }
 
     /// Whether spans are being recorded.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
@@ -341,32 +342,6 @@ impl SpanArena {
             query: self.query,
         });
         id
-    }
-
-    /// Opens a span whose end is not yet known (recorded with
-    /// `end == start` until [`SpanArena::close`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn open(
-        &mut self,
-        parent: SpanId,
-        resource: impl Into<SpanResource>,
-        kind: SpanKind,
-        node: u32,
-        start: SimTime,
-        bytes: u64,
-    ) -> SpanId {
-        self.record(parent, resource, kind, node, start, start, bytes)
-    }
-
-    /// Closes an open span at `end`. Closing [`SpanId::NONE`] (a dropped
-    /// or untraced span) is a no-op; spans may close in any order
-    /// relative to their parents.
-    pub fn close(&mut self, id: SpanId, end: SimTime) {
-        if let Some(ix) = id.index() {
-            let span = &mut self.spans[ix];
-            debug_assert!(end >= span.start, "span closes before it starts");
-            span.end = end;
-        }
     }
 
     /// The recorded spans, in record order ([`SpanId`] indexes into it).
@@ -448,26 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn spans_close_out_of_parent_order() {
-        let mut a = SpanArena::with_capacity(4);
-        let parent = a.open(
-            SpanId::NONE,
-            "disk_media",
-            SpanKind::DiskRead,
-            0,
-            SimTime::ZERO,
-            100,
-        );
-        let child = a.open(parent, "worker_cpu", SpanKind::Cpu, 0, SimTime::ZERO, 100);
-        // Parent closes first — legal: slots are independent.
-        a.close(parent, SimTime::from_nanos(10));
-        a.close(child, SimTime::from_nanos(30));
-        assert_eq!(a.get(parent).unwrap().end, SimTime::from_nanos(10));
-        assert_eq!(a.get(child).unwrap().end, SimTime::from_nanos(30));
-        assert_eq!(a.get(child).unwrap().parent, parent);
-    }
-
-    #[test]
     fn overflow_drops_and_counts_without_panicking() {
         let mut a = SpanArena::with_capacity(2);
         let t = SimTime::ZERO;
@@ -477,8 +432,6 @@ mod tests {
         }
         assert_eq!(a.len(), 2);
         assert_eq!(a.dropped(), 8);
-        // Closing a dropped span's NONE id is harmless.
-        a.close(SpanId::NONE, SimTime::from_nanos(99));
     }
 
     #[test]

@@ -144,24 +144,6 @@ impl Duration {
         Duration((secs * 1e9).round() as u64)
     }
 
-    /// Constructs a duration from fractional milliseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ms` is negative or not finite.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
-    /// Constructs a duration from fractional microseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `us` is negative or not finite.
-    pub fn from_micros_f64(us: f64) -> Self {
-        Self::from_secs_f64(us / 1e6)
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -445,8 +427,6 @@ mod tests {
         assert_eq!(Duration::from_millis(1), Duration::from_micros(1_000));
         assert_eq!(Duration::from_micros(1), Duration::from_nanos(1_000));
         assert_eq!(Duration::from_secs_f64(0.5), Duration::from_millis(500));
-        assert_eq!(Duration::from_millis_f64(0.5), Duration::from_micros(500));
-        assert_eq!(Duration::from_micros_f64(0.5), Duration::from_nanos(500));
     }
 
     #[test]

@@ -106,13 +106,6 @@ impl PhasePlan {
         (self.read_bytes_total as f64 * self.shuffle_factor) as u64
     }
 
-    /// Total bytes this phase ships to the front-end across all nodes
-    /// (factor-based part only; per-node fixed bytes are added by the
-    /// simulator, which knows the node count).
-    pub fn frontend_bytes_total(&self) -> u64 {
-        (self.read_bytes_total as f64 * self.frontend_factor) as u64
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -219,16 +212,13 @@ mod tests {
         let p = PhasePlan::new("scan", 1_000);
         p.validate().expect("valid");
         assert_eq!(p.shuffle_bytes_total(), 0);
-        assert_eq!(p.frontend_bytes_total(), 0);
     }
 
     #[test]
     fn volume_computations() {
         let mut p = PhasePlan::new("part", 1_000_000);
         p.shuffle_factor = 0.5;
-        p.frontend_factor = 0.01;
         assert_eq!(p.shuffle_bytes_total(), 500_000);
-        assert_eq!(p.frontend_bytes_total(), 10_000);
     }
 
     #[test]
