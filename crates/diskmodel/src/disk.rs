@@ -7,7 +7,7 @@ use simcore::{Duration, Histogram, SimTime};
 
 use crate::cache::{Lookup, SegmentedCache};
 use crate::defects::{DefectMap, SpareExhausted};
-use crate::geometry::{Geometry, SECTOR_BYTES};
+use crate::geometry::{Geometry, Location, SECTOR_BYTES};
 use crate::seek::SeekCurve;
 use crate::spec::DiskSpec;
 
@@ -69,6 +69,30 @@ impl Completion {
     }
 }
 
+/// The write stream the drive's buffer is flushing.
+#[derive(Debug, Clone, Copy)]
+struct WriteStream {
+    /// LBA one past the last sector written.
+    end: u64,
+    /// Cylinder of the last sector written.
+    cylinder: u32,
+    /// Location of the last sector written (`Geometry::locate(end - 1)`):
+    /// a continuing write steps on from it instead of locating its start
+    /// afresh. A cache, never serialized, so empty after a restore.
+    last: Option<Location>,
+}
+
+impl WriteStream {
+    /// The stream that ends at `end`, its last sector at `last`.
+    fn after(end: u64, last: Location) -> Self {
+        WriteStream {
+            end,
+            cylinder: last.cylinder,
+            last: Some(last),
+        }
+    }
+}
+
 /// A disk drive instance with its own arm, spindle, and cache state.
 ///
 /// Requests are served FIFO: each request begins when the drive becomes
@@ -99,10 +123,9 @@ pub struct Disk {
     /// Cumulative time requests spent queued behind the arm
     /// (submit→start-of-service) before the drive began serving them.
     wait: Duration,
-    /// End LBA and cylinder of the most recent write stream (write-behind
-    /// cache state): continuation is only free while the arm is still
-    /// parked on the stream.
-    write_stream_end: Option<(u64, u32)>,
+    /// The most recent write stream (write-behind cache state):
+    /// continuation is only free while the arm is still parked on it.
+    write_stream: Option<WriteStream>,
     /// Grown-defect remapping (empty on a healthy drive).
     defects: DefectMap,
     /// Per-request service-time distribution.
@@ -139,7 +162,7 @@ impl Disk {
             free_at: SimTime::ZERO,
             busy: Duration::ZERO,
             wait: Duration::ZERO,
-            write_stream_end: None,
+            write_stream: None,
             defects,
             service_hist: Histogram::new(),
             reads: 0,
@@ -202,7 +225,7 @@ impl Disk {
             let mut mechanical = false;
             for (plba, psec) in self.defects.translate(lba, sectors) {
                 if plba >= spare_start {
-                    let end = self.mechanical_access(
+                    let (end, _) = self.mechanical_access(
                         at + self.spec.controller_overhead,
                         plba,
                         psec,
@@ -269,7 +292,8 @@ impl Disk {
                 }
             }
             Lookup::Miss => {
-                let end = self.mechanical_access(start + overhead, lba, sectors, RequestKind::Read);
+                let (end, _) =
+                    self.mechanical_access(start + overhead, lba, sectors, RequestKind::Read);
                 // The arm left any streams it was feeding: freeze their
                 // read-ahead across the excursion (positions as of its
                 // start, no progress until its end).
@@ -292,33 +316,33 @@ impl Disk {
         // If the arm serviced a read elsewhere in between, the flush pays
         // the full mechanical cost again (read/write interleaving thrash,
         // the reason NOW-sort separates read and write disk groups).
-        if matches!(self.write_stream_end, Some((end, cyl)) if end == lba && cyl == self.cylinder) {
-            let media = self.geometry.media_transfer(
-                lba,
-                sectors,
-                self.spec.head_switch,
-                self.spec.cylinder_switch,
-            );
-            let end = start + self.spec.controller_overhead + media;
-            let end_loc = self
-                .geometry
-                .locate(lba + sectors - 1)
-                .expect("bounds checked in submit");
-            self.cylinder = end_loc.cylinder;
-            self.write_stream_end = Some((lba + sectors, end_loc.cylinder));
+        let overhead = self.spec.controller_overhead;
+        if let Some(ws) = self
+            .write_stream
+            .filter(|ws| ws.end == lba && ws.cylinder == self.cylinder)
+        {
+            let (hs, cs) = (self.spec.head_switch, self.spec.cylinder_switch);
+            let (media, last) = match ws
+                .last
+                .and_then(|last| self.geometry.advance(last, lba, sectors, hs, cs))
+            {
+                Some(advanced) => advanced,
+                None => {
+                    let span = self.geometry.span(lba, sectors, hs, cs);
+                    (span.media, span.last)
+                }
+            };
+            self.cylinder = last.cylinder;
+            self.write_stream = Some(WriteStream::after(lba + sectors, last));
             return Completion {
                 start,
-                end,
+                end: start + overhead + media,
                 mechanical: false,
             };
         }
-        let end = self.mechanical_access(
-            start + self.spec.controller_overhead,
-            lba,
-            sectors,
-            RequestKind::Write,
-        );
-        self.write_stream_end = Some((lba + sectors, self.cylinder));
+        let (end, last) =
+            self.mechanical_access(start + overhead, lba, sectors, RequestKind::Write);
+        self.write_stream = Some(WriteStream::after(lba + sectors, last));
         Completion {
             start,
             end,
@@ -326,15 +350,22 @@ impl Disk {
         }
     }
 
-    /// Seek + rotational latency + media transfer, starting at `t`.
+    /// Seek + rotational latency + media transfer, starting at `t`;
+    /// returns the end time and the location of the last sector.
     fn mechanical_access(
         &mut self,
         t: SimTime,
         lba: u64,
         sectors: u64,
         kind: RequestKind,
-    ) -> SimTime {
-        let loc = self.geometry.locate(lba).expect("bounds checked in submit");
+    ) -> (SimTime, Location) {
+        let span = self.geometry.span(
+            lba,
+            sectors,
+            self.spec.head_switch,
+            self.spec.cylinder_switch,
+        );
+        let loc = span.start;
         let distance = self.cylinder.abs_diff(loc.cylinder);
         let curve = match kind {
             RequestKind::Read => &self.read_seek,
@@ -352,19 +383,9 @@ impl Disk {
         let wait_ns = (target_angle_ns + rev.as_nanos() - now_angle_ns) % rev.as_nanos();
         let after_rotation = after_seek + Duration::from_nanos(wait_ns);
 
-        let media = self.geometry.media_transfer(
-            lba,
-            sectors,
-            self.spec.head_switch,
-            self.spec.cylinder_switch,
-        );
         // Arm ends where the transfer ends.
-        let end_loc = self
-            .geometry
-            .locate(lba + sectors - 1)
-            .expect("bounds checked");
-        self.cylinder = end_loc.cylinder;
-        after_rotation + media
+        self.cylinder = span.last.cylinder;
+        (after_rotation + span.media, span.last)
     }
 
     /// The earliest time a new request could begin service.
@@ -437,8 +458,8 @@ impl Disk {
         w.field("free_at", self.free_at.as_nanos());
         w.field("busy", self.busy.as_nanos());
         w.field("wait", self.wait.as_nanos());
-        match self.write_stream_end {
-            Some((lba, cyl)) => w.list("write_stream", [lba, u64::from(cyl)]),
+        match self.write_stream {
+            Some(ws) => w.list("write_stream", [ws.end, u64::from(ws.cylinder)]),
             None => w.list("write_stream", std::iter::empty::<u64>()),
         }
         self.defects.save_state(w);
@@ -453,9 +474,10 @@ impl Disk {
     }
 
     /// Restores mutable state into a drive freshly built from the same
-    /// spec ([`Disk::new`]). The bus-transfer memo is reset — it is a
-    /// pure cache over a deterministic expression, so the first hit after
-    /// restore recomputes the identical value.
+    /// spec ([`Disk::new`]). The bus-transfer memo and the write stream's
+    /// stored head position start empty — both are pure caches over
+    /// deterministic expressions, so the first hit and the first
+    /// continuing write after restore recompute the identical values.
     ///
     /// # Errors
     ///
@@ -470,12 +492,14 @@ impl Disk {
         self.busy = Duration::from_nanos(r.num("busy")?);
         self.wait = Duration::from_nanos(r.num("wait")?);
         let ws: Vec<u64> = r.nums("write_stream")?;
-        self.write_stream_end = match ws[..] {
+        self.write_stream = match ws[..] {
             [] => None,
-            [lba, cyl] => Some((
-                lba,
-                u32::try_from(cyl).map_err(|_| StateError::new("write-stream cylinder"))?,
-            )),
+            [end, cyl] => Some(WriteStream {
+                end,
+                cylinder: u32::try_from(cyl)
+                    .map_err(|_| StateError::new("write-stream cylinder"))?,
+                last: None,
+            }),
             _ => return Err(StateError::new("write_stream needs 0 or 2 values")),
         };
         self.defects.load_state(r)?;
@@ -725,6 +749,59 @@ mod tests {
         }
         assert_eq!(restored.busy_total(), d.busy_total());
         assert_eq!(restored.cache_hits(), d.cache_hits());
+    }
+
+    /// A copy of `d` through `save_state`/`load_state`.
+    fn round_trip(d: &Disk) -> Disk {
+        let mut w = simcore::StateWriter::new();
+        d.save_state(&mut w);
+        let text = w.finish();
+        let mut restored = Disk::new(d.spec().clone());
+        let mut r = simcore::StateReader::new(&text);
+        restored.load_state(&mut r).unwrap();
+        assert!(r.done());
+        restored
+    }
+
+    #[test]
+    fn restored_write_streams_continue_like_live_ones() {
+        // The live drive steps its stored head position from write to
+        // write. The other is restored before every request, which
+        // empties that position, so it locates each write afresh. The
+        // streams cross track, cylinder and zone edges, run to the last
+        // sector of the disk, and are broken by reads.
+        for spec in [DiskSpec::cheetah_9lp(), DiskSpec::hitachi_dk3e1t_91()] {
+            let mut live = Disk::new(spec.clone());
+            let mut restored = Disk::new(spec);
+            let g = live.geometry().clone();
+            let edge = g.zones()[1].first_lba;
+            let total = g.total_sectors();
+            let mut t = SimTime::ZERO;
+            let mut continued = 0;
+            for (from, to) in [(edge - 4_000, edge + 3_000), (total - 5_000, total)] {
+                let mut lba = from;
+                for i in 0u64.. {
+                    let sectors = [128, 64, 512, 1, 300, 7][(i % 6) as usize].min(to - lba);
+                    if sectors == 0 {
+                        break;
+                    }
+                    let req = if i % 9 == 8 {
+                        Request::read((lba - 2_000) * SECTOR_BYTES, 64 * KB)
+                    } else {
+                        lba += sectors;
+                        Request::write((lba - sectors) * SECTOR_BYTES, sectors * SECTOR_BYTES)
+                    };
+                    restored = round_trip(&restored);
+                    let a = live.submit(t, req);
+                    let b = restored.submit(t, req);
+                    assert_eq!(a, b, "{} {req:?}", live.spec().name);
+                    continued += u32::from(req.kind == RequestKind::Write && !a.mechanical);
+                    t = a.end;
+                }
+            }
+            assert!(continued > 20, "{continued} continuing writes");
+            assert_eq!(live.busy_total(), restored.busy_total());
+        }
     }
 
     #[test]

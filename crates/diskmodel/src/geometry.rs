@@ -46,6 +46,18 @@ pub struct Location {
     pub sector: u32,
 }
 
+/// One transfer laid onto the media: where it starts, how long it takes
+/// and where its last sector lies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span {
+    /// Location of the first sector.
+    pub start: Location,
+    /// Media time, as [`Geometry::media_transfer`] gives it.
+    pub media: Duration,
+    /// Location of the last sector.
+    pub last: Location,
+}
+
 /// The synthesized zoned geometry of a drive.
 ///
 /// # Example
@@ -271,6 +283,104 @@ impl Geometry {
         }
     }
 
+    /// [`Geometry::locate`] of `lba`, [`Geometry::media_transfer`] of
+    /// `sectors` sectors from it and `locate` of the last of them, from
+    /// one zone search: the closed form above, which also yields the
+    /// track and sector at both ends (caller guarantees `sectors > 0` and
+    /// range).
+    pub(crate) fn span(
+        &self,
+        lba: u64,
+        sectors: u64,
+        head_switch: Duration,
+        cylinder_switch: Duration,
+    ) -> Span {
+        let heads = u64::from(self.heads);
+        let mut zi = self.zone_index(lba);
+        let mut off = lba - self.zones[zi].first_lba;
+        let mut start = None;
+        let mut remaining = sectors;
+        let mut media = Duration::ZERO;
+        loop {
+            let zone = &self.zones[zi];
+            let spt = u64::from(zone.sectors_per_track);
+            let n = remaining.min(zone.sectors - off);
+            let (t0, t1) = (off / spt, (off + n - 1) / spt);
+            let (c0, c1) = (t0 / heads, t1 / heads);
+            // `locate` of zone offset `off` on `track` of cylinder `cyl`.
+            let at = |off: u64, track: u64, cyl: u64| Location {
+                zone: zi as u32,
+                cylinder: zone.first_cylinder + cyl as u32,
+                head: (track - cyl * heads) as u32,
+                sector: (off - track * spt) as u32,
+            };
+            let start = *start.get_or_insert_with(|| at(off, t0, c0));
+            let cyl = c1 - c0;
+            media += zone.sector_time * n + cylinder_switch * cyl + head_switch * (t1 - t0 - cyl);
+            remaining -= n;
+            if remaining == 0 {
+                let last = at(off + n - 1, t1, c1);
+                return Span { start, media, last };
+            }
+            media += cylinder_switch;
+            zi += 1;
+            off = 0;
+        }
+    }
+
+    /// The transfer of `sectors` sectors at `lba`, the sector after
+    /// `last`: its media time and the location of its last sector, as
+    /// [`Geometry::span`] gives them. It steps from `last` track by track
+    /// with compares and subtractions (a batch crosses a few tracks), so
+    /// it searches no zone table and divides nothing. `None` when the
+    /// transfer leaves `last`'s zone.
+    pub(crate) fn advance(
+        &self,
+        last: Location,
+        lba: u64,
+        sectors: u64,
+        head_switch: Duration,
+        cylinder_switch: Duration,
+    ) -> Option<(Duration, Location)> {
+        let zone = &self.zones[last.zone as usize];
+        if lba + sectors > zone.first_lba + zone.sectors {
+            return None;
+        }
+        let spt = zone.sectors_per_track;
+        let (mut cylinder, mut head, mut first) = (last.cylinder, last.head, last.sector + 1);
+        if first == spt {
+            // The transfer starts on the next track.
+            first = 0;
+            head += 1;
+            if head == self.heads {
+                head = 0;
+                cylinder += 1;
+            }
+        }
+        // Offset of the last sector from the first one's track.
+        let mut rest = u64::from(first) + sectors - 1;
+        let (mut tracks, mut cyls) = (0u64, 0u64);
+        while rest >= u64::from(spt) {
+            rest -= u64::from(spt);
+            tracks += 1;
+            head += 1;
+            if head == self.heads {
+                head = 0;
+                cylinder += 1;
+                cyls += 1;
+            }
+        }
+        let media =
+            zone.sector_time * sectors + cylinder_switch * cyls + head_switch * (tracks - cyls);
+        let end = Location {
+            zone: last.zone,
+            cylinder,
+            head,
+            sector: rest as u32,
+        };
+        Some((media, end))
+    }
+
     /// Duration of one revolution.
     pub fn revolution(&self) -> Duration {
         self.revolution
@@ -493,6 +603,63 @@ mod tests {
         }
     }
 
+    /// `span` equals `locate` + `media_transfer` + `locate` of the last
+    /// sector, and `advance` from the sector before `start` equals the
+    /// same media time and end, or `None` when it leaves that zone.
+    fn check_span_and_advance(g: &Geometry, spec: &DiskSpec, start: u64, sectors: u64) {
+        let (hs, cs) = (spec.head_switch, spec.cylinder_switch);
+        let span = g.span(start, sectors, hs, cs);
+        let what = format!("{}: {sectors} sectors from {start}", spec.name);
+        assert_eq!(span.start, g.locate(start).unwrap(), "{what}");
+        assert_eq!(
+            span.media,
+            g.media_transfer(start, sectors, hs, cs),
+            "{what}"
+        );
+        assert_eq!(span.last, g.locate(start + sectors - 1).unwrap(), "{what}");
+        if let Some(prev) = start.checked_sub(1).and_then(|lba| g.locate(lba)) {
+            let zone = &g.zones()[prev.zone as usize];
+            let inside = start + sectors <= zone.first_lba + zone.sectors;
+            assert_eq!(
+                g.advance(prev, start, sectors, hs, cs),
+                inside.then_some((span.media, span.last)),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn span_and_advance_match_the_oracle_at_every_zone_edge_and_the_last_track() {
+        for (g, spec) in both_drives() {
+            let all = g.total_sectors();
+            let last_spt = u64::from(g.zones().last().unwrap().sectors_per_track);
+            for zn in &g.zones()[1..] {
+                let spt = u64::from(zn.sectors_per_track);
+                let cyl = spt * u64::from(g.heads());
+                for start in [
+                    zn.first_lba - cyl - 1,
+                    zn.first_lba - spt - 1,
+                    zn.first_lba - 2,
+                    zn.first_lba - 1,
+                    zn.first_lba,
+                    zn.first_lba + 1,
+                    zn.first_lba + spt - 1,
+                    zn.first_lba + spt,
+                    zn.first_lba + cyl - 1,
+                ] {
+                    for sectors in [1, 2, 64, 128, 512, spt, spt + 1, cyl + 3] {
+                        check_span_and_advance(&g, &spec, start, sectors.min(all - start));
+                    }
+                }
+            }
+            for back in [1, 2, 64, last_spt - 1, last_spt, last_spt + 1, 4 * last_spt] {
+                for sectors in [1, 64, 512] {
+                    check_span_and_advance(&g, &spec, all - back, sectors.min(back));
+                }
+            }
+        }
+    }
+
     #[test]
     fn media_transfer_of_nothing_is_free() {
         let g = geo();
@@ -502,6 +669,38 @@ mod tests {
             g.media_transfer(g.total_sectors(), 0, hs, cs),
             Duration::ZERO
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// `span` and `advance` agree with `locate` and `media_transfer`
+        /// for 1 to 4,096 sectors from anywhere on both drives, from
+        /// within four tracks of a zone edge, and from the last tracks.
+        #[test]
+        fn prop_span_and_advance_match_the_oracle(
+            drive in 0usize..2,
+            place in 0u64..3,
+            pos in 0u64..u64::MAX,
+            sectors in 1u64..=4_096,
+        ) {
+            let (g, spec) = &both_drives()[drive];
+            let all = g.total_sectors();
+            let start = match place {
+                0 => pos % all,
+                1 => {
+                    let zones = g.zones();
+                    let zn = &zones[1 + (pos % (zones.len() as u64 - 1)) as usize];
+                    let spt = u64::from(zn.sectors_per_track);
+                    zn.first_lba + (pos >> 32) % (8 * spt) - 4 * spt
+                }
+                _ => {
+                    let spt = u64::from(g.zones().last().unwrap().sectors_per_track);
+                    all - 1 - (pos >> 32) % (4 * spt)
+                }
+            };
+            check_span_and_advance(g, spec, start, sectors.min(all - start));
+        }
     }
 
     proptest! {
