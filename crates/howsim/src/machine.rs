@@ -6,6 +6,15 @@
 //! local write, peer transfer, and front-end transfer. All resources are
 //! FIFO queueing servers, so contention and overlap emerge from the
 //! event-driven executor rather than from closed-form formulas.
+//!
+//! Once a drive fails, the SMP stripe and the recovery reads work over
+//! the survivors. The machine keeps them as lists: the healthy nodes,
+//! and each of the three SMP stripe groups (every disk, the read half,
+//! the write half) cut to its healthy members. Only [`Machine::fail_disk`]
+//! and [`Machine::load_state`] change the failed flags, and both rebuild
+//! the lists, so a degraded read, write or recovery read indexes them
+//! and allocates nothing. The lists are derived state: checkpoints
+//! carry only the flags.
 
 use arch::{
     ActiveDiskConfig, Architecture, ClusterConfig, InterconnectKind, ProcessorSpec, SmpConfig,
@@ -123,19 +132,14 @@ pub struct Machine {
     work_redistributed: u64,
     /// Rotating cursor spreading Redistribute mirror reads over survivors.
     recovery_rr: usize,
-    /// Cached count of failed nodes (keeps the healthy hot path free of
-    /// per-read scans and allocations).
+    /// Cached count of failed nodes.
     failed_count: usize,
-}
-
-/// The healthy members of the stripe group `[start, start+len)`, falling
-/// back to all healthy nodes when the whole group has failed.
-fn healthy_group(failed: &[bool], start: usize, len: usize) -> Vec<usize> {
-    let group: Vec<usize> = (start..start + len).filter(|&d| !failed[d]).collect();
-    if !group.is_empty() {
-        return group;
-    }
-    (0..failed.len()).filter(|&d| !failed[d]).collect()
+    /// The healthy nodes, in order (the recovery path's survivors).
+    healthy: Vec<usize>,
+    /// The SMP stripe groups — every disk, the read half, the write half
+    /// — each cut to its healthy members, or to all healthy nodes when
+    /// the whole group has failed, or kept whole when no node is healthy.
+    stripe_groups: [Vec<usize>; 3],
 }
 
 impl Machine {
@@ -186,6 +190,8 @@ impl Machine {
             work_redistributed: 0,
             recovery_rr: 0,
             failed_count: 0,
+            healthy: Vec::new(),
+            stripe_groups: Default::default(),
         }
         .init_fault_state()
     }
@@ -219,6 +225,8 @@ impl Machine {
             work_redistributed: 0,
             recovery_rr: 0,
             failed_count: 0,
+            healthy: Vec::new(),
+            stripe_groups: Default::default(),
         }
         .init_fault_state()
     }
@@ -254,6 +262,8 @@ impl Machine {
             work_redistributed: 0,
             recovery_rr: 0,
             failed_count: 0,
+            healthy: Vec::new(),
+            stripe_groups: Default::default(),
         }
         .init_fault_state()
     }
@@ -261,7 +271,34 @@ impl Machine {
     fn init_fault_state(mut self) -> Self {
         self.failed = vec![false; self.nodes];
         self.downtime = vec![DowntimeTracker::new(); self.nodes];
+        self.rebuild_survivors();
         self
+    }
+
+    /// Recomputes the failed count and the survivor lists from the
+    /// failed flags. Only a fault or a restore changes the flags, so the
+    /// read, write and recovery paths index these lists rather than
+    /// collect them per request.
+    fn rebuild_survivors(&mut self) {
+        let failed = &self.failed;
+        let healthy_in = |range: std::ops::Range<usize>| range.filter(|&d| !failed[d]);
+        self.healthy = healthy_in(0..self.nodes).collect();
+        self.failed_count = self.nodes - self.healthy.len();
+        let half = self.nodes / 2;
+        for (group, (start, len)) in
+            self.stripe_groups
+                .iter_mut()
+                .zip([(0, self.nodes), (0, half), (half, half)])
+        {
+            group.clear();
+            group.extend(healthy_in(start..start + len));
+            if group.is_empty() {
+                group.extend_from_slice(&self.healthy);
+            }
+            if group.is_empty() {
+                group.extend(start..start + len);
+            }
+        }
     }
 
     /// Number of worker nodes (processors / disks).
@@ -372,8 +409,10 @@ impl Machine {
     /// A phase that writes splits the disks into a read half and a write
     /// half (NOW-sort style); otherwise both directions use every disk.
     /// Failed drives drop out of the stripe, and a group that lost every
-    /// drive falls back to all healthy drives. Returns when the last
-    /// chunk is in memory (read) or on media (write).
+    /// drive falls back to all healthy drives. Chunk `c` of the stream
+    /// goes to member `c % width` of the group, with one `%` per call.
+    /// Returns when the last chunk is in memory (read) or on media
+    /// (write).
     fn smp_stripe(
         &mut self,
         now: SimTime,
@@ -385,26 +424,21 @@ impl Machine {
         let rbase = self.region_base(region);
         let rcap = self.region_capacity(region);
         let split = phase_writes && self.nodes >= 2;
-        let len = if split { self.nodes / 2 } else { self.nodes };
-        let start = if split && write { self.nodes / 2 } else { 0 };
-        let group = if self.failed_count > 0 {
-            healthy_group(&self.failed, start, len)
-        } else {
-            Vec::new()
-        };
+        let group = &self.stripe_groups[if split { 1 + usize::from(write) } else { 0 }];
         let Fabric::Smp { io, .. } = &mut self.fabric else {
             unreachable!("striping is SMP-only")
         };
         let cursor = &mut self.stripe_cursor[usize::from(write)];
+        let mut slot = *cursor % group.len();
         let mut remaining = bytes;
         let mut done = now;
         while remaining > 0 {
             let chunk = remaining.min(SMP_CHUNK);
-            let disk_ix = if group.is_empty() {
-                start + (*cursor % len)
-            } else {
-                group[*cursor % group.len()]
-            };
+            let disk_ix = group[slot];
+            slot += 1;
+            if slot == group.len() {
+                slot = 0;
+            }
             *cursor += 1;
             let offset = {
                 let cur = &mut self.cursors[disk_ix][region];
@@ -602,8 +636,8 @@ impl Machine {
         assert!(node < self.nodes, "node out of range");
         if !self.failed[node] {
             self.failed[node] = true;
-            self.failed_count += 1;
             self.downtime[node].fail(now);
+            self.rebuild_survivors();
         }
     }
 
@@ -662,19 +696,22 @@ impl Machine {
         region: usize,
         phase_writes: bool,
     ) -> SimTime {
-        let healthy: Vec<usize> = (0..self.nodes).filter(|&n| !self.failed[n]).collect();
+        let healthy = &self.healthy;
         assert!(!healthy.is_empty(), "recovery with no surviving node");
         let ready = match policy {
             RecoveryPolicy::FailStop => panic!("FailStop policy issues no recovery reads"),
             RecoveryPolicy::Redistribute => {
                 // Prefer a mirror other than the consumer so the rebalance
-                // traffic actually crosses the interconnect.
+                // traffic actually crosses the interconnect: the
+                // `recovery_rr`-th of the other survivors, counting round.
                 let mirror = if healthy.len() > 1 {
-                    let others: Vec<usize> =
-                        healthy.iter().copied().filter(|&n| n != consumer).collect();
-                    let m = others[self.recovery_rr % others.len()];
+                    let consumer_at = healthy.binary_search(&consumer).ok();
+                    let i = self.recovery_rr % (healthy.len() - usize::from(consumer_at.is_some()));
                     self.recovery_rr += 1;
-                    m
+                    match consumer_at {
+                        Some(at) if i >= at => healthy[i + 1],
+                        _ => healthy[i],
+                    }
                 } else {
                     healthy[0]
                 };
@@ -683,7 +720,8 @@ impl Machine {
             }
             RecoveryPolicy::ReconstructRead => {
                 let mut ready = now;
-                for &survivor in &healthy {
+                for i in 0..self.healthy.len() {
+                    let survivor = self.healthy[i];
                     let media_done = self.read(survivor, now, bytes, region, phase_writes);
                     let arrived = self.peer_transfer(media_done, survivor, consumer, bytes);
                     ready = ready.max(arrived);
@@ -884,9 +922,9 @@ impl Machine {
     }
 
     /// Restores state saved by [`Machine::save_state`] into a machine
-    /// built from the same [`Architecture`]. The failed-node count is
-    /// recomputed from the restored flags rather than trusted from the
-    /// checkpoint.
+    /// built from the same [`Architecture`]. The failed-node count and
+    /// the survivor lists are recomputed from the restored flags; the
+    /// checkpoint does not carry them.
     ///
     /// # Errors
     ///
@@ -940,7 +978,7 @@ impl Machine {
             return Err(StateError::new("failed-flag count mismatch"));
         }
         self.failed = flags.iter().map(|&f| f != 0).collect();
-        self.failed_count = self.failed.iter().filter(|&&f| f).count();
+        self.rebuild_survivors();
         for d in &mut self.downtime {
             *d = DowntimeTracker::load_state(r)?;
         }
@@ -1164,6 +1202,130 @@ mod tests {
         assert!(t > SimTime::ZERO);
         // The failed drive served nothing.
         assert!(m.disks[3].busy_total().is_zero());
+    }
+
+    /// The healthy members of the stripe group `[start, start+len)`,
+    /// falling back to all healthy nodes when the whole group has failed
+    /// (the per-request collection the survivor lists replace).
+    fn healthy_group(failed: &[bool], start: usize, len: usize) -> Vec<usize> {
+        let group: Vec<usize> = (start..start + len).filter(|&d| !failed[d]).collect();
+        if !group.is_empty() {
+            return group;
+        }
+        (0..failed.len()).filter(|&d| !failed[d]).collect()
+    }
+
+    /// The stripe groups `(start, len)`: every disk, the read half and
+    /// the write half.
+    fn group_bounds(nodes: usize) -> [(usize, usize); 3] {
+        [(0, nodes), (0, nodes / 2), (nodes / 2, nodes / 2)]
+    }
+
+    fn assert_survivors(m: &Machine) {
+        let healthy: Vec<usize> = (0..m.nodes).filter(|&n| !m.failed[n]).collect();
+        assert_eq!(m.healthy, healthy);
+        assert_eq!(m.failed_count, m.nodes - healthy.len());
+        for (group, (start, len)) in m.stripe_groups.iter().zip(group_bounds(m.nodes)) {
+            let mut want = healthy_group(&m.failed, start, len);
+            if want.is_empty() {
+                want = (start..start + len).collect();
+            }
+            assert_eq!(*group, want, "group [{start}, {})", start + len);
+        }
+    }
+
+    #[test]
+    fn survivor_lists_follow_every_fault_and_restore() {
+        for nodes in [1, 7, 8] {
+            let mut m = Machine::new(&Architecture::smp(nodes));
+            assert_survivors(&m);
+            for node in [3, 0, 6, 1, 2, 5, 4, 3].into_iter().filter(|&n| n < nodes) {
+                m.fail_disk(node, SimTime::ZERO);
+                assert_survivors(&m);
+                let mut w = simcore::StateWriter::new();
+                m.save_state(&mut w);
+                let text = w.finish();
+                let mut restored = Machine::new(&Architecture::smp(nodes));
+                restored
+                    .load_state(&mut simcore::StateReader::new(&text))
+                    .expect("restore");
+                assert_survivors(&restored);
+                assert_eq!(restored.stripe_groups, m.stripe_groups);
+            }
+        }
+    }
+
+    #[test]
+    fn stripe_chunks_go_to_cursor_mod_width() {
+        // Each call stripes `k` chunks; the disks they land on must be
+        // members `cursor % width` onwards of the group's survivors.
+        for failed in [&[][..], &[3], &[1, 5, 6], &[0, 1, 2, 3], &[4, 5, 6, 7]] {
+            for phase_writes in [false, true] {
+                let mut m = Machine::new(&Architecture::smp(8));
+                m.begin_phase(0);
+                for &f in failed {
+                    m.fail_disk(f, SimTime::ZERO);
+                }
+                let mut t = SimTime::ZERO;
+                for k in 1..=11u64 {
+                    for write in [false, true] {
+                        let served = |m: &Machine| -> Vec<u64> {
+                            m.disks.iter().map(|d| d.reads() + d.writes()).collect()
+                        };
+                        let before = served(&m);
+                        let cursor = m.stripe_cursor[usize::from(write)];
+                        let (start, len) = group_bounds(8)[if phase_writes {
+                            1 + usize::from(write)
+                        } else {
+                            0
+                        }];
+                        let group = healthy_group(&m.failed, start, len);
+                        let mut want = vec![0u64; 8];
+                        for c in cursor..cursor + k as usize {
+                            want[group[c % group.len()]] += 1;
+                        }
+                        t = if write {
+                            m.write(0, t, k * SMP_CHUNK, 0, phase_writes)
+                        } else {
+                            m.read(0, t, k * SMP_CHUNK, 0, phase_writes)
+                        };
+                        let got: Vec<u64> =
+                            served(&m).iter().zip(&before).map(|(a, b)| a - b).collect();
+                        assert_eq!(got, want, "failed {failed:?}, {k} chunks, write {write}");
+                        assert_eq!(m.stripe_cursor[usize::from(write)], cursor + k as usize);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn redistribute_mirrors_rotate_over_the_other_survivors() {
+        for consumer in [0, 2, 3, 7] {
+            let mut m = active(8);
+            m.begin_phase(0);
+            m.fail_disk(2, SimTime::ZERO);
+            m.fail_disk(5, SimTime::ZERO);
+            let others: Vec<usize> = (0..8).filter(|&n| !m.failed[n] && n != consumer).collect();
+            let mut t = SimTime::ZERO;
+            for call in 0..13 {
+                let before: Vec<u64> = m.disks.iter().map(Disk::reads).collect();
+                t = m.recovery_read(
+                    RecoveryPolicy::Redistribute,
+                    consumer,
+                    t,
+                    64 * 1024,
+                    0,
+                    false,
+                );
+                let mirror = (0..8).find(|&n| m.disks[n].reads() > before[n]);
+                assert_eq!(
+                    mirror,
+                    Some(others[call % others.len()]),
+                    "consumer {consumer}"
+                );
+            }
+        }
     }
 
     #[test]
