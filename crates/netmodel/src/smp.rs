@@ -142,6 +142,10 @@ pub struct SmpIoSubsystem {
     fc: FcLoop,
     xio: MultiServer,
     xio_rate: Bandwidth,
+    /// Memoized `(bytes, xio_rate.transfer_time(bytes))` of the last
+    /// transfer: the stripe moves fixed 64 KB chunks, so this skips the
+    /// float division per chunk with the same expression's value.
+    xio_memo: Option<(u64, Duration)>,
 }
 
 impl SmpIoSubsystem {
@@ -153,6 +157,7 @@ impl SmpIoSubsystem {
             // Two I/O nodes, 1.4 GB/s total.
             xio: MultiServer::new(2),
             xio_rate: Bandwidth::from_mb_per_sec(700.0),
+            xio_memo: None,
         }
     }
 
@@ -166,9 +171,15 @@ impl SmpIoSubsystem {
         tag: &'static str,
     ) -> SimTime {
         let over_loop = self.fc.transfer(now, disk, bytes, tag);
-        self.xio
-            .offer(over_loop, self.xio_rate.transfer_time(bytes), tag)
-            .end
+        let xio_time = match self.xio_memo {
+            Some((b, d)) if b == bytes => d,
+            _ => {
+                let d = self.xio_rate.transfer_time(bytes);
+                self.xio_memo = Some((bytes, d));
+                d
+            }
+        };
+        self.xio.offer(over_loop, xio_time, tag).end
     }
 
     /// Drops one FC loop: surviving loops carry all disk traffic (see
@@ -211,7 +222,8 @@ impl SmpIoSubsystem {
     }
 
     /// Restores state saved by [`SmpIoSubsystem::save_state`] into an
-    /// I/O complex built with the same configuration.
+    /// I/O complex built with the same configuration. The XIO-time memo
+    /// is dropped; it repopulates with identical values.
     ///
     /// # Errors
     ///
@@ -219,6 +231,7 @@ impl SmpIoSubsystem {
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         self.fc.load_state(r)?;
         self.xio = MultiServer::load_state(r)?;
+        self.xio_memo = None;
         Ok(())
     }
 }
@@ -315,6 +328,29 @@ mod tests {
         assert_eq!(live.bytes_carried(), restored.bytes_carried());
         assert_eq!(live.loop_busy_total(), restored.loop_busy_total());
         assert_eq!(live.loop_wait_total(), restored.loop_wait_total());
+    }
+
+    #[test]
+    fn memoized_xio_time_equals_the_direct_computation() {
+        // Two complexes serve the same transfers; one forgets its memo
+        // before each, so it computes every XIO time afresh.
+        let mut memo = SmpIoSubsystem::new(Bandwidth::from_mb_per_sec(200.0));
+        let mut direct = memo.clone();
+        let mut t = SimTime::ZERO;
+        for (i, bytes) in [65_536u64, 65_536, 1, 65_536, 262_144, 262_144, 7]
+            .into_iter()
+            .enumerate()
+        {
+            direct.xio_memo = None;
+            let want = direct.disk_transfer(t, i, bytes, "x");
+            assert_eq!(memo.disk_transfer(t, i, bytes, "x"), want, "{bytes} B");
+            assert_eq!(
+                memo.xio_memo,
+                Some((bytes, memo.xio_rate.transfer_time(bytes)))
+            );
+            t += Duration::from_micros(100);
+        }
+        assert_eq!(memo.xio.busy_total(), direct.xio.busy_total());
     }
 
     #[test]
