@@ -55,7 +55,7 @@ use std::io::BufWriter;
 use std::process::ExitCode;
 
 use arch::Architecture;
-use howsim::faults::{FaultPlan, RecoveryPolicy};
+use howsim::faults::{FaultKind, FaultPlan, RecoveryPolicy};
 use howsim::manifest::{HostInfo, RunManifest};
 use howsim::profile::CriticalPath;
 use howsim::{
@@ -372,7 +372,97 @@ fn parse(args: &[String]) -> Result<Options, String> {
     } else {
         WorkloadSpec::parse_mix(&opts.mix)?;
     }
+    if let Some(mb) = opts.interconnect_mb {
+        check_interconnect_budget(&opts, mb)?;
+    }
     Ok(opts)
+}
+
+/// Half the `u64`-nanosecond clock (2^63 ns, about 292 years), in
+/// seconds: the most a run's `--interconnect` traffic and arrivals may
+/// take.
+const WIRE_BUDGET_SECS: f64 = (1u64 << 63) as f64 / 1e9;
+
+/// Rejects an `--interconnect` rate at which the run's planned traffic
+/// on the lanes that rate sets could carry the clock past its end.
+///
+/// The bound charges every planned byte on those lanes, once per lane it
+/// crosses, to a single lane at the slowest of their rates: one FC loop,
+/// `rate / 2` at the loop's framing efficiency. That serial time bounds
+/// the lanes' summed busy time, however the loops overlap or fail. Per
+/// query it counts, on Active Disks, each shuffled byte once (four times
+/// when peers route through the front-end) and each front-end byte
+/// twice (loop and port); on the SMP, each byte read or written, since
+/// all disk traffic crosses the FC loop. A disk fault under a policy
+/// that re-reads adds up to `nodes - 1` copies of every byte read. A
+/// loaded run counts every query and retry at its mix's heaviest task.
+/// A 1% pad covers sector rounding. The serial time plus the latest
+/// possible arrival must fit in [`WIRE_BUDGET_SECS`], half the clock.
+/// The other half is left for the work the rate does not set (disks,
+/// CPUs, arbitration, barriers), which at the modelled rates takes days
+/// at most, so a rate that passes cannot wrap the clock.
+fn check_interconnect_budget(opts: &Options, mb: f64) -> Result<(), String> {
+    // An unknown architecture is reported when the run builds it.
+    let Ok(arch) = build_architecture(opts) else {
+        return Ok(());
+    };
+    let (tasks, runs, arrivals_secs) = match &opts.load {
+        Some(load) => {
+            let w = WorkloadSpec::parse_spec(load, &opts.mix)?;
+            let attempts = f64::from(opts.deadline.max_retries) + 1.0;
+            let tasks = w.mix.iter().map(|&(t, _)| t).collect();
+            (
+                tasks,
+                f64::from(w.queries) * attempts,
+                w.latest_arrival_secs(),
+            )
+        }
+        None => (vec![opts.task], 1.0, 0.0),
+    };
+    let rereads = opts.recovery != RecoveryPolicy::FailStop
+        && opts.faults.iter().any(|spec| {
+            FaultPlan::parse_spec(spec).is_ok_and(|p| {
+                p.events()
+                    .iter()
+                    .any(|e| matches!(e.kind, FaultKind::DiskFailStop { .. }))
+            })
+        });
+    let copies = if rereads { arch.disks() as f64 } else { 1.0 };
+    let per_query = tasks
+        .into_iter()
+        .map(|task| {
+            let plan = tasks::plan_task(task, &arch);
+            let mut lane_bytes = 0.0;
+            for p in &plan.phases {
+                let read = p.read_bytes_total as f64;
+                let shuffle = p.shuffle_bytes_total() as f64;
+                let recovered = read * (copies - 1.0);
+                lane_bytes += match &arch {
+                    Architecture::ActiveDisks(c) => {
+                        let frontend = read * p.frontend_factor
+                            + (p.frontend_bytes_per_node * arch.disks() as u64) as f64;
+                        let peer_legs = if c.direct_disk_to_disk { 1.0 } else { 4.0 };
+                        (shuffle + recovered) * peer_legs + 2.0 * frontend
+                    }
+                    _ => {
+                        let received = if p.write_received { shuffle } else { 0.0 };
+                        read * copies + read * p.local_write_factor + received
+                    }
+                };
+            }
+            lane_bytes
+        })
+        .fold(0.0, f64::max);
+    let lane_bytes_per_sec = mb * 1e6 / 2.0 * netmodel::fcloop::DEFAULT_EFFICIENCY;
+    let wire_secs = per_query * runs * 1.01 / lane_bytes_per_sec;
+    if wire_secs + arrivals_secs <= WIRE_BUDGET_SECS {
+        return Ok(());
+    }
+    Err(format!(
+        "--interconnect: at {mb:e} MB/s the planned interconnect and front-end traffic \
+         ({per_query:.3e} B per query) could take {wire_secs:.3e} s, more than the \
+         {WIRE_BUDGET_SECS:.3e} s of simulated clock it may use"
+    ))
 }
 
 fn build_architecture(opts: &Options) -> Result<Architecture, String> {

@@ -102,3 +102,65 @@ fn fibre_switch_off_active_disks_is_rejected() {
         );
     }
 }
+
+/// Runs `howsim --arch <arch> --disks 4 --task <task> --interconnect
+/// <rate> --no-cache`.
+fn at_rate(arch: &str, task: &str, rate: &str) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_howsim"))
+        .args(["--arch", arch, "--disks", "4", "--task", task])
+        .args(["--interconnect", rate, "--no-cache"])
+        .output()
+        .expect("run howsim")
+}
+
+#[test]
+fn interconnect_too_slow_for_the_clock_is_rejected() {
+    // Each of these once exited 0 with a wrapped clock: 1e-9 reported
+    // 18,446,395,858 s, and the others the report of the default rate.
+    for (task, rate) in [
+        ("sort", "1e-9"),
+        ("sort", "1e-12"),
+        ("sort", "1e-300"),
+        ("select", "1e-300"),
+    ] {
+        let out = at_rate("active", task, rate);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{task} at {rate}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{task} at {rate}: {stderr}");
+        assert!(
+            stderr.contains("--interconnect"),
+            "{task} at {rate}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{task} at {rate}: nothing simulated");
+    }
+}
+
+#[test]
+fn the_slowest_accepted_interconnect_ends_inside_the_clock() {
+    // Halve the rate until it is rejected; the last rate accepted must
+    // report an elapsed time inside the 2^64 ns clock.
+    for arch in ["active", "smp"] {
+        let mut rate = 1e-3;
+        let mut last_ok = None;
+        loop {
+            let out = at_rate(arch, "sort", &rate.to_string());
+            if out.status.code() == Some(1) {
+                break;
+            }
+            assert_eq!(out.status.code(), Some(0), "{arch} at {rate}");
+            last_ok = Some(String::from_utf8_lossy(&out.stdout).into_owned());
+            rate /= 2.0;
+        }
+        let report = last_ok.unwrap_or_else(|| panic!("{arch}: 1e-3 MB/s rejected"));
+        let secs: f64 = report
+            .split(": ")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("no elapsed time in {report}"));
+        assert!(
+            secs > 1e6 && secs < 18_446_744_073.0,
+            "{arch} at {rate} MB/s: {secs} s"
+        );
+    }
+}

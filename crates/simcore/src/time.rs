@@ -134,14 +134,19 @@ impl Duration {
     ///
     /// # Panics
     ///
-    /// Panics if `secs` is negative or not finite.
+    /// Panics if `secs` is negative or not a number, or if the rounded
+    /// nanosecond count does not fit a `u64` (infinity included): a
+    /// duration past the end of the clock is an error, never a
+    /// saturated value.
     #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
+        let ns = (secs * 1e9).round();
+        // 2^64 is exact in f64; every f64 below it fits a u64.
         assert!(
-            secs.is_finite() && secs >= 0.0,
+            secs >= 0.0 && ns < u64::MAX as f64,
             "Duration::from_secs_f64: invalid seconds value {secs}"
         );
-        Duration((secs * 1e9).round() as u64)
+        Duration(ns as u64)
     }
 
     /// Raw nanoseconds.
@@ -441,6 +446,24 @@ mod tests {
         let total: Duration = (1..=4).map(Duration::from_micros).sum();
         assert_eq!(total, Duration::from_micros(10));
         assert_eq!(total / 2, Duration::from_micros(5));
+    }
+
+    #[test]
+    fn from_secs_f64_panics_past_the_end_of_the_clock() {
+        // 2^64 ns is 18,446,744,073.709551616 s.
+        let last = u64::MAX as f64 / 1e9;
+        let near_end = Duration::from_secs_f64(18_446_744_073.0).as_nanos();
+        // f64 spacing is 2,048 ns this close to 2^64.
+        assert!(near_end.abs_diff(18_446_744_073_000_000_000) <= 2_048);
+        assert_eq!(Duration::from_secs_f64(0.0), Duration::ZERO);
+        assert_eq!(Duration::from_secs_f64(-0.0), Duration::ZERO);
+        for bad in [last, 1e11, 1e300, f64::INFINITY, f64::NAN, -1e-12, -1.0] {
+            let caught = std::panic::catch_unwind(|| Duration::from_secs_f64(bad));
+            assert!(caught.is_err(), "{bad} s must panic");
+        }
+        // A rate so low that one byte takes longer than the clock lasts.
+        let crawl = Bandwidth::from_bytes_per_sec(1e-12);
+        assert!(std::panic::catch_unwind(|| crawl.transfer_time(1)).is_err());
     }
 
     #[test]
