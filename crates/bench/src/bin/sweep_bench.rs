@@ -2,8 +2,8 @@
 //! causal tracing subsystem, the loaded multi-query executor, and the
 //! copy-on-fork checkpointing paths.
 //!
-//! Six measurements, written to `BENCH_PR9.json` in the current
-//! directory:
+//! Six measurements, reported as one JSON object on stdout, or written
+//! to `FILE` instead with `--out FILE`:
 //!
 //! 1. Event-loop throughput on the 64-disk cluster join on both queue
 //!    backends — the arena calendar wheel and the binary heap baseline
@@ -31,10 +31,11 @@
 //!    checkpoint in MB/s.
 //!
 //! ```text
-//! cargo run --release -p bench --bin sweep_bench [workers]
+//! cargo run --release -p bench --bin sweep_bench [workers] [--out FILE]
 //! ```
 //!
-//! `workers` defaults to 8. On a single-core host the parallel run
+//! The tracked `BENCH_PR9.json` is the record of one such run; the
+//! binary never writes it. `workers` defaults to 8. On a single-core host the parallel run
 //! cannot beat the serial one, so the speedup expectation is only
 //! asserted when `available_parallelism > 1`; the report records the
 //! machine's parallelism and labels the field so a sub-1.0 "speedup"
@@ -322,10 +323,16 @@ fn assert_tracing_off_allocates_nothing() {
 }
 
 fn main() {
-    let workers: usize = std::env::args()
-        .nth(1)
-        .map(|a| a.parse().expect("workers must be a positive integer"))
-        .unwrap_or(8);
+    let mut workers = 8usize;
+    let mut out: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--out" {
+            out = Some(args.next().expect("--out needs a file name"));
+        } else {
+            workers = arg.parse().expect("workers must be a positive integer");
+        }
+    }
     assert!(workers > 0, "workers must be positive");
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
 
@@ -554,6 +561,8 @@ fn main() {
         warm_hits = warm_stats.hits,
         warm_misses = warm_stats.misses,
     );
-    std::fs::write("BENCH_PR9.json", &json).expect("write BENCH_PR9.json");
-    print!("{json}");
+    match out {
+        Some(path) => std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}")),
+        None => print!("{json}"),
+    }
 }
