@@ -322,16 +322,13 @@ impl Disk {
             .filter(|ws| ws.end == lba && ws.cylinder == self.cylinder)
         {
             let (hs, cs) = (self.spec.head_switch, self.spec.cylinder_switch);
-            let (media, last) = match ws
+            let (media, last) = ws
                 .last
                 .and_then(|last| self.geometry.advance(last, lba, sectors, hs, cs))
-            {
-                Some(advanced) => advanced,
-                None => {
+                .unwrap_or_else(|| {
                     let span = self.geometry.span(lba, sectors, hs, cs);
                     (span.media, span.last)
-                }
-            };
+                });
             self.cylinder = last.cylinder;
             self.write_stream = Some(WriteStream::after(lba + sectors, last));
             return Completion {

@@ -132,8 +132,6 @@ pub struct Machine {
     work_redistributed: u64,
     /// Rotating cursor spreading Redistribute mirror reads over survivors.
     recovery_rr: usize,
-    /// Cached count of failed nodes.
-    failed_count: usize,
     /// The healthy nodes, in order (the recovery path's survivors).
     healthy: Vec<usize>,
     /// The SMP stripe groups — every disk, the read half, the write half
@@ -189,7 +187,6 @@ impl Machine {
             recovery_busy: Duration::ZERO,
             work_redistributed: 0,
             recovery_rr: 0,
-            failed_count: 0,
             healthy: Vec::new(),
             stripe_groups: Default::default(),
         }
@@ -224,7 +221,6 @@ impl Machine {
             recovery_busy: Duration::ZERO,
             work_redistributed: 0,
             recovery_rr: 0,
-            failed_count: 0,
             healthy: Vec::new(),
             stripe_groups: Default::default(),
         }
@@ -261,7 +257,6 @@ impl Machine {
             recovery_busy: Duration::ZERO,
             work_redistributed: 0,
             recovery_rr: 0,
-            failed_count: 0,
             healthy: Vec::new(),
             stripe_groups: Default::default(),
         }
@@ -275,15 +270,13 @@ impl Machine {
         self
     }
 
-    /// Recomputes the failed count and the survivor lists from the
-    /// failed flags. Only a fault or a restore changes the flags, so the
+    /// Recomputes the survivor lists from the failed flags. Only a fault or a restore changes the flags, so the
     /// read, write and recovery paths index these lists rather than
     /// collect them per request.
     fn rebuild_survivors(&mut self) {
         let failed = &self.failed;
         let healthy_in = |range: std::ops::Range<usize>| range.filter(|&d| !failed[d]);
         self.healthy = healthy_in(0..self.nodes).collect();
-        self.failed_count = self.nodes - self.healthy.len();
         let half = self.nodes / 2;
         for (group, (start, len)) in
             self.stripe_groups
@@ -648,7 +641,7 @@ impl Machine {
 
     /// Number of fail-stopped nodes.
     pub fn failed_count(&self) -> usize {
-        self.failed_count
+        self.nodes - self.healthy.len()
     }
 
     /// Applies an interconnect fault near `node`: on the Active dual loop
@@ -922,9 +915,9 @@ impl Machine {
     }
 
     /// Restores state saved by [`Machine::save_state`] into a machine
-    /// built from the same [`Architecture`]. The failed-node count and
-    /// the survivor lists are recomputed from the restored flags; the
-    /// checkpoint does not carry them.
+    /// built from the same [`Architecture`]. The survivor lists are
+    /// recomputed from the restored flags; the checkpoint does not carry
+    /// them.
     ///
     /// # Errors
     ///
@@ -1224,7 +1217,7 @@ mod tests {
     fn assert_survivors(m: &Machine) {
         let healthy: Vec<usize> = (0..m.nodes).filter(|&n| !m.failed[n]).collect();
         assert_eq!(m.healthy, healthy);
-        assert_eq!(m.failed_count, m.nodes - healthy.len());
+        assert_eq!(m.failed_count(), m.nodes - healthy.len());
         for (group, (start, len)) in m.stripe_groups.iter().zip(group_bounds(m.nodes)) {
             let mut want = healthy_group(&m.failed, start, len);
             if want.is_empty() {
