@@ -13,8 +13,10 @@
 //! the write half) cut to its healthy members. Only [`Machine::fail_disk`]
 //! and [`Machine::load_state`] change the failed flags, and both rebuild
 //! the lists, so a degraded read, write or recovery read indexes them
-//! and allocates nothing. The lists are derived state: checkpoints
-//! carry only the flags.
+//! and allocates nothing. While every drive is healthy the lists stay
+//! empty and the survivors are the nodes themselves, so a healthy
+//! machine, and each fork of one, carries no list memory. The lists are
+//! derived state: checkpoints carry only the flags.
 
 use arch::{
     ActiveDiskConfig, Architecture, ClusterConfig, InterconnectKind, ProcessorSpec, SmpConfig,
@@ -132,11 +134,15 @@ pub struct Machine {
     work_redistributed: u64,
     /// Rotating cursor spreading Redistribute mirror reads over survivors.
     recovery_rr: usize,
-    /// The healthy nodes, in order (the recovery path's survivors).
+    /// Cached count of failed nodes.
+    failed_count: usize,
+    /// The healthy nodes, in order (the recovery path's survivors);
+    /// empty while no node has failed.
     healthy: Vec<usize>,
     /// The SMP stripe groups — every disk, the read half, the write half
     /// — each cut to its healthy members, or to all healthy nodes when
-    /// the whole group has failed, or kept whole when no node is healthy.
+    /// the whole group has failed, or kept whole when no node is healthy;
+    /// empty while no node has failed.
     stripe_groups: [Vec<usize>; 3],
 }
 
@@ -187,6 +193,7 @@ impl Machine {
             recovery_busy: Duration::ZERO,
             work_redistributed: 0,
             recovery_rr: 0,
+            failed_count: 0,
             healthy: Vec::new(),
             stripe_groups: Default::default(),
         }
@@ -221,6 +228,7 @@ impl Machine {
             recovery_busy: Duration::ZERO,
             work_redistributed: 0,
             recovery_rr: 0,
+            failed_count: 0,
             healthy: Vec::new(),
             stripe_groups: Default::default(),
         }
@@ -257,6 +265,7 @@ impl Machine {
             recovery_busy: Duration::ZERO,
             work_redistributed: 0,
             recovery_rr: 0,
+            failed_count: 0,
             healthy: Vec::new(),
             stripe_groups: Default::default(),
         }
@@ -266,24 +275,31 @@ impl Machine {
     fn init_fault_state(mut self) -> Self {
         self.failed = vec![false; self.nodes];
         self.downtime = vec![DowntimeTracker::new(); self.nodes];
-        self.rebuild_survivors();
         self
     }
 
-    /// Recomputes the survivor lists from the failed flags. Only a fault or a restore changes the flags, so the
+    /// Recomputes the failed count and the survivor lists from the
+    /// failed flags. Only a fault or a restore changes the flags, so the
     /// read, write and recovery paths index these lists rather than
     /// collect them per request.
     fn rebuild_survivors(&mut self) {
         let failed = &self.failed;
+        self.failed_count = failed.iter().filter(|&&f| f).count();
+        self.healthy.clear();
+        for group in &mut self.stripe_groups {
+            group.clear();
+        }
+        if self.failed_count == 0 {
+            return;
+        }
         let healthy_in = |range: std::ops::Range<usize>| range.filter(|&d| !failed[d]);
-        self.healthy = healthy_in(0..self.nodes).collect();
+        self.healthy.extend(healthy_in(0..self.nodes));
         let half = self.nodes / 2;
         for (group, (start, len)) in
             self.stripe_groups
                 .iter_mut()
                 .zip([(0, self.nodes), (0, half), (half, half)])
         {
-            group.clear();
             group.extend(healthy_in(start..start + len));
             if group.is_empty() {
                 group.extend_from_slice(&self.healthy);
@@ -403,7 +419,8 @@ impl Machine {
     /// half (NOW-sort style); otherwise both directions use every disk.
     /// Failed drives drop out of the stripe, and a group that lost every
     /// drive falls back to all healthy drives. Chunk `c` of the stream
-    /// goes to member `c % width` of the group, with one `%` per call.
+    /// goes to member `c % width` of the group (the group itself while no
+    /// drive has failed), with one `%` per call.
     /// Returns when the last chunk is in memory (read) or on media
     /// (write).
     fn smp_stripe(
@@ -417,19 +434,30 @@ impl Machine {
         let rbase = self.region_base(region);
         let rcap = self.region_capacity(region);
         let split = phase_writes && self.nodes >= 2;
-        let group = &self.stripe_groups[if split { 1 + usize::from(write) } else { 0 }];
+        let len = if split { self.nodes / 2 } else { self.nodes };
+        let start = if split && write { self.nodes / 2 } else { 0 };
+        let members = &self.stripe_groups[if split { 1 + usize::from(write) } else { 0 }];
+        let width = if members.is_empty() {
+            len
+        } else {
+            members.len()
+        };
         let Fabric::Smp { io, .. } = &mut self.fabric else {
             unreachable!("striping is SMP-only")
         };
         let cursor = &mut self.stripe_cursor[usize::from(write)];
-        let mut slot = *cursor % group.len();
+        let mut slot = *cursor % width;
         let mut remaining = bytes;
         let mut done = now;
         while remaining > 0 {
             let chunk = remaining.min(SMP_CHUNK);
-            let disk_ix = group[slot];
+            let disk_ix = if members.is_empty() {
+                start + slot
+            } else {
+                members[slot]
+            };
             slot += 1;
-            if slot == group.len() {
+            if slot == width {
                 slot = 0;
             }
             *cursor += 1;
@@ -641,7 +669,7 @@ impl Machine {
 
     /// Number of fail-stopped nodes.
     pub fn failed_count(&self) -> usize {
-        self.nodes - self.healthy.len()
+        self.failed_count
     }
 
     /// Applies an interconnect fault near `node`: on the Active dual loop
@@ -689,32 +717,43 @@ impl Machine {
         region: usize,
         phase_writes: bool,
     ) -> SimTime {
-        let healthy = &self.healthy;
-        assert!(!healthy.is_empty(), "recovery with no surviving node");
+        let survivors = self.nodes - self.failed_count;
+        assert!(survivors > 0, "recovery with no surviving node");
+        // The `i`-th survivor; while no node has failed the list is empty
+        // and the survivors are the nodes themselves.
+        let survivor = |m: &Machine, i: usize| {
+            if m.healthy.is_empty() {
+                i
+            } else {
+                m.healthy[i]
+            }
+        };
         let ready = match policy {
             RecoveryPolicy::FailStop => panic!("FailStop policy issues no recovery reads"),
             RecoveryPolicy::Redistribute => {
                 // Prefer a mirror other than the consumer so the rebalance
                 // traffic actually crosses the interconnect: the
                 // `recovery_rr`-th of the other survivors, counting round.
-                let mirror = if healthy.len() > 1 {
-                    let consumer_at = healthy.binary_search(&consumer).ok();
-                    let i = self.recovery_rr % (healthy.len() - usize::from(consumer_at.is_some()));
+                let mirror = if survivors > 1 {
+                    // The consumer's rank among the survivors, if it is one.
+                    let consumer_at = (!self.failed[consumer])
+                        .then(|| self.healthy.binary_search(&consumer).unwrap_or(consumer));
+                    let i = self.recovery_rr % (survivors - usize::from(consumer_at.is_some()));
                     self.recovery_rr += 1;
                     match consumer_at {
-                        Some(at) if i >= at => healthy[i + 1],
-                        _ => healthy[i],
+                        Some(at) if i >= at => survivor(self, i + 1),
+                        _ => survivor(self, i),
                     }
                 } else {
-                    healthy[0]
+                    survivor(self, 0)
                 };
                 let media_done = self.read(mirror, now, bytes, region, phase_writes);
                 self.peer_transfer(media_done, mirror, consumer, bytes)
             }
             RecoveryPolicy::ReconstructRead => {
                 let mut ready = now;
-                for i in 0..self.healthy.len() {
-                    let survivor = self.healthy[i];
+                for i in 0..survivors {
+                    let survivor = survivor(self, i);
                     let media_done = self.read(survivor, now, bytes, region, phase_writes);
                     let arrived = self.peer_transfer(media_done, survivor, consumer, bytes);
                     ready = ready.max(arrived);
@@ -1216,8 +1255,12 @@ mod tests {
 
     fn assert_survivors(m: &Machine) {
         let healthy: Vec<usize> = (0..m.nodes).filter(|&n| !m.failed[n]).collect();
-        assert_eq!(m.healthy, healthy);
         assert_eq!(m.failed_count(), m.nodes - healthy.len());
+        if m.failed_count() == 0 {
+            assert!(m.healthy.is_empty() && m.stripe_groups.iter().all(Vec::is_empty));
+            return;
+        }
+        assert_eq!(m.healthy, healthy);
         for (group, (start, len)) in m.stripe_groups.iter().zip(group_bounds(m.nodes)) {
             let mut want = healthy_group(&m.failed, start, len);
             if want.is_empty() {
@@ -1294,11 +1337,18 @@ mod tests {
 
     #[test]
     fn redistribute_mirrors_rotate_over_the_other_survivors() {
-        for consumer in [0, 2, 3, 7] {
+        for (failed, consumer) in [
+            (&[2, 5][..], 0),
+            (&[2, 5], 2),
+            (&[2, 5], 3),
+            (&[2, 5], 7),
+            (&[], 3),
+        ] {
             let mut m = active(8);
             m.begin_phase(0);
-            m.fail_disk(2, SimTime::ZERO);
-            m.fail_disk(5, SimTime::ZERO);
+            for &node in failed {
+                m.fail_disk(node, SimTime::ZERO);
+            }
             let others: Vec<usize> = (0..8).filter(|&n| !m.failed[n] && n != consumer).collect();
             let mut t = SimTime::ZERO;
             for call in 0..13 {
