@@ -735,7 +735,8 @@ impl Machine {
                 // traffic actually crosses the interconnect: the
                 // `recovery_rr`-th of the other survivors, counting round.
                 let mirror = if survivors > 1 {
-                    // The consumer's rank among the survivors, if it is one.
+                    // The consumer's rank among the survivors, if it is
+                    // one (its own number while the list is empty).
                     let consumer_at = (!self.failed[consumer])
                         .then(|| self.healthy.binary_search(&consumer).unwrap_or(consumer));
                     let i = self.recovery_rr % (survivors - usize::from(consumer_at.is_some()));
