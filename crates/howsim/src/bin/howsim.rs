@@ -440,14 +440,16 @@ fn check_interconnect_budget(opts: &Options, mb: f64) -> Result<(), String> {
                 lane_bytes += match &arch {
                     Architecture::ActiveDisks(c) => {
                         let frontend = read * p.frontend_factor
-                            + (p.frontend_bytes_per_node * arch.disks() as u64) as f64;
+                            + p.frontend_bytes_per_node as f64 * arch.disks() as f64;
                         let peer_legs = if c.direct_disk_to_disk { 1.0 } else { 4.0 };
                         (shuffle + recovered) * peer_legs + 2.0 * frontend
                     }
-                    _ => {
+                    Architecture::Smp(_) => {
                         let received = if p.write_received { shuffle } else { 0.0 };
                         read * copies + read * p.local_write_factor + received
                     }
+                    // The parser rejects `--interconnect` on a cluster.
+                    Architecture::Cluster(_) => 0.0,
                 };
             }
             lane_bytes
