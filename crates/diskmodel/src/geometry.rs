@@ -237,7 +237,9 @@ impl Geometry {
     /// `cyl = t1 / heads - t0 / heads` of them cylinder boundaries and
     /// the rest head switches; every zone edge crossed is one more
     /// cylinder switch. Durations are integer nanoseconds, so the sum is
-    /// exactly that of walking the transfer track by track.
+    /// exactly that of walking the transfer track by track. The drive
+    /// times its requests with `span` and `advance`, which reach the same
+    /// sums with fewer searches; this function is their test oracle.
     ///
     /// # Panics
     ///
