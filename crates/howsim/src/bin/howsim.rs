@@ -50,6 +50,7 @@
 //!        --admission 4:16 --deadline 120s:1:5s
 //! ```
 
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::BufWriter;
 use std::process::ExitCode;
@@ -63,7 +64,7 @@ use howsim::{
     SpanTrace, Trace, WorkloadSpec,
 };
 use simcore::span::FRONT_END_NODE;
-use simcore::QueueBackend;
+use simcore::{Bandwidth, QueueBackend};
 use tasks::TaskKind;
 
 /// `println!` for stdout output. A reader that has closed the pipe (as
@@ -372,96 +373,107 @@ fn parse(args: &[String]) -> Result<Options, String> {
     } else {
         WorkloadSpec::parse_mix(&opts.mix)?;
     }
-    if let Some(mb) = opts.interconnect_mb {
-        check_interconnect_budget(&opts, mb)?;
-    }
+    check_wire_budget(&opts)?;
     Ok(opts)
 }
 
 /// Half the `u64`-nanosecond clock (2^63 ns, about 292 years), in
-/// seconds: the most a run's `--interconnect` traffic and arrivals may
-/// take.
+/// seconds: the most the traffic of the lanes a flag slows may take.
 const WIRE_BUDGET_SECS: f64 = (1u64 << 63) as f64 / 1e9;
 
-/// Rejects an `--interconnect` rate at which the run's planned traffic
-/// on the lanes that rate sets could carry the clock past its end.
+/// Rejects flags that slow an interconnect lane so far that the run's
+/// traffic could carry the clock past its end. `--interconnect` sets
+/// the rate of the FC loops; a `link` fault cuts a cluster host's NIC
+/// pair to its severity, and faults on one host compound.
 ///
-/// The bound charges every planned byte on those lanes, once per lane it
-/// crosses, to a single lane at the slowest of their rates: one FC loop,
-/// `rate / 2` at the loop's framing efficiency. That serial time bounds
-/// the lanes' summed busy time, however the loops overlap or fail. Per
-/// query it counts, on Active Disks, each shuffled byte once (four times
-/// when peers route through the front-end) and each front-end byte
-/// twice (loop and port); on the SMP, each byte read or written, since
-/// all disk traffic crosses the FC loop. A disk fault under a policy
-/// that re-reads adds up to `nodes - 1` copies of every byte read. A
-/// loaded run counts every query and retry at its mix's heaviest task.
-/// A 1% pad covers sector rounding. The serial time plus the latest
-/// possible arrival must fit in [`WIRE_BUDGET_SECS`], half the clock.
-/// The other half is left for the work the rate does not set (disks,
-/// CPUs, arbitration, barriers), which at the modelled rates takes days
-/// at most, so a rate that passes cannot wrap the clock.
-fn check_interconnect_budget(opts: &Options, mb: f64) -> Result<(), String> {
+/// The bound is coarse and the same on every architecture. Per query it
+/// counts every planned byte (read, shuffled, sent to the front-end or
+/// written) four times, once per leg of the longest route (peer traffic
+/// through the front-end), and `nodes` times over when a disk fault
+/// meets a policy that re-reads. A loaded run counts every query and
+/// retry at its mix's heaviest task, and a 1% pad covers sector
+/// rounding. All of it is charged to the slowest lane a flag sets: one
+/// FC loop at `rate / 2` and the loop's framing efficiency, or a NIC at
+/// the compounded severity (on every architecture, though only a
+/// cluster's NICs degrade). That serial time bounds the lanes' summed
+/// busy time however they overlap or fail, and it must fit in
+/// [`WIRE_BUDGET_SECS`]. The other half of the clock is left to what no
+/// flag here sets: the arrivals, which `--load` bounds on its own, and
+/// the disks and CPUs. The check reads only the lanes' own traffic, so
+/// naming a default value changes the verdict only past 2.6e16 counted
+/// bytes at a NIC's rate (2.2e17 on the loops), 300,000 times what the
+/// heaviest task plans per query (8.4e10 B, the join).
+fn check_wire_budget(opts: &Options) -> Result<(), String> {
+    let mut severity = BTreeMap::new();
+    let mut disk_fault = false;
+    for spec in &opts.faults {
+        // A bad spec was rejected when the flag was read.
+        let Ok(plan) = FaultPlan::parse_spec(spec) else {
+            continue;
+        };
+        for e in plan.events() {
+            match e.kind {
+                FaultKind::LinkFault { node, severity: s } => {
+                    *severity.entry(node).or_insert(1.0) *= s;
+                }
+                FaultKind::DiskFailStop { .. } => disk_fault = true,
+                FaultKind::MediaBurst { .. } => {}
+            }
+        }
+    }
+    // The slowest lane a flag sets, in bytes/s, and that flag.
+    let fc = opts.interconnect_mb.map(|mb| {
+        let rate = mb * 1e6 / 2.0 * netmodel::fcloop::DEFAULT_EFFICIENCY;
+        (rate, "--interconnect")
+    });
+    let nic = severity.values().copied().reduce(f64::min).map(|s| {
+        let nic = Bandwidth::from_mbit_per_sec(netmodel::cluster::NIC_MBIT_PER_SEC)
+            .scale(netmodel::cluster::ETHERNET_EFFICIENCY);
+        (nic.bytes_per_sec() * s, "--fault link")
+    });
+    let Some((rate, flag)) = fc.into_iter().chain(nic).min_by(|a, b| a.0.total_cmp(&b.0)) else {
+        return Ok(());
+    };
     // An unknown architecture is reported when the run builds it.
     let Ok(arch) = build_architecture(opts) else {
         return Ok(());
     };
-    let (tasks, runs, arrivals_secs) = match &opts.load {
+    let (tasks, runs) = match &opts.load {
         Some(load) => {
             let w = WorkloadSpec::parse_spec(load, &opts.mix)?;
             let attempts = f64::from(opts.deadline.max_retries) + 1.0;
             let tasks = w.mix.iter().map(|&(t, _)| t).collect();
-            (
-                tasks,
-                f64::from(w.queries) * attempts,
-                w.latest_arrival_secs(),
-            )
+            (tasks, f64::from(w.queries) * attempts)
         }
-        None => (vec![opts.task], 1.0, 0.0),
+        None => (vec![opts.task], 1.0),
     };
-    let rereads = opts.recovery != RecoveryPolicy::FailStop
-        && opts.faults.iter().any(|spec| {
-            FaultPlan::parse_spec(spec).is_ok_and(|p| {
-                p.events()
-                    .iter()
-                    .any(|e| matches!(e.kind, FaultKind::DiskFailStop { .. }))
-            })
-        });
-    let copies = if rereads { arch.disks() as f64 } else { 1.0 };
+    let nodes = arch.disks() as f64;
+    let copies = if disk_fault && opts.recovery != RecoveryPolicy::FailStop {
+        nodes
+    } else {
+        1.0
+    };
     let per_query = tasks
         .into_iter()
         .map(|task| {
             let plan = tasks::plan_task(task, &arch);
-            let mut lane_bytes = 0.0;
+            let mut bytes = 0.0;
             for p in &plan.phases {
                 let read = p.read_bytes_total as f64;
                 let shuffle = p.shuffle_bytes_total() as f64;
-                let recovered = read * (copies - 1.0);
-                lane_bytes += match &arch {
-                    Architecture::ActiveDisks(c) => {
-                        let frontend = read * p.frontend_factor
-                            + p.frontend_bytes_per_node as f64 * arch.disks() as f64;
-                        let peer_legs = if c.direct_disk_to_disk { 1.0 } else { 4.0 };
-                        (shuffle + recovered) * peer_legs + 2.0 * frontend
-                    }
-                    Architecture::Smp(_) => {
-                        let received = if p.write_received { shuffle } else { 0.0 };
-                        read * copies + read * p.local_write_factor + received
-                    }
-                    // The parser rejects `--interconnect` on a cluster.
-                    Architecture::Cluster(_) => 0.0,
-                };
+                let frontend = read * p.frontend_factor + p.frontend_bytes_per_node as f64 * nodes;
+                let received = if p.write_received { shuffle } else { 0.0 };
+                bytes += read + shuffle + frontend + read * p.local_write_factor + received;
             }
-            lane_bytes
+            bytes
         })
         .fold(0.0, f64::max);
-    let lane_bytes_per_sec = mb * 1e6 / 2.0 * netmodel::fcloop::DEFAULT_EFFICIENCY;
-    let wire_secs = per_query * runs * 1.01 / lane_bytes_per_sec;
-    if wire_secs + arrivals_secs <= WIRE_BUDGET_SECS {
+    let wire_secs = per_query * 4.0 * copies * runs * 1.01 / rate;
+    if wire_secs <= WIRE_BUDGET_SECS {
         return Ok(());
     }
     Err(format!(
-        "--interconnect: at {mb:e} MB/s the planned interconnect and front-end traffic \
+        "{flag}: at {rate:.3e} B/s on the slowest lane, the planned traffic \
          ({per_query:.3e} B per query) could take {wire_secs:.3e} s, more than the \
          {WIRE_BUDGET_SECS:.3e} s of simulated clock it may use"
     ))

@@ -209,36 +209,26 @@ impl WorkloadSpec {
         if queries == 0 {
             return Err("workload needs at least one query".into());
         }
-        let mix = Self::parse_mix(mix)?;
-        let spec = WorkloadSpec {
-            arrival,
-            mix,
-            queries,
-            seed,
-        };
-        if let ArrivalProcess::Poisson { qps } = spec.arrival {
-            if duration_from_secs(spec.latest_arrival_secs()).is_none() {
+        if let ArrivalProcess::Poisson { qps } = arrival {
+            // `arrival_times` draws gaps of at most -ln(2^-53) / qps
+            // seconds (`next_f64` has 53 bits); `queries` of them must fit
+            // the clock. The pad covers the rounding of up to 2^32 float
+            // additions.
+            let max_gap = -(2f64.powi(-53)).ln() / qps;
+            if duration_from_secs(f64::from(queries) * max_gap * (1.0 + 1e-6)).is_none() {
                 return Err(format!(
                     "arrival rate {qps} is too low: {queries} arrivals could overflow \
                      the simulated clock"
                 ));
             }
         }
-        Ok(spec)
-    }
-
-    /// A bound on the last arrival time, in seconds: `arrival_times`
-    /// draws Poisson gaps of at most -ln(2^-53) / qps seconds (`next_f64`
-    /// has 53 bits), `queries` of them, padded for the rounding of up to
-    /// 2^32 float additions. Closed-loop queries all arrive at zero.
-    pub fn latest_arrival_secs(&self) -> f64 {
-        match self.arrival {
-            ArrivalProcess::Poisson { qps } => {
-                let max_gap = -(2f64.powi(-53)).ln() / qps;
-                f64::from(self.queries) * max_gap * (1.0 + 1e-6)
-            }
-            ArrivalProcess::Closed { .. } => 0.0,
-        }
+        let mix = Self::parse_mix(mix)?;
+        Ok(WorkloadSpec {
+            arrival,
+            mix,
+            queries,
+            seed,
+        })
     }
 
     /// Parses a `--mix` string (see [`WorkloadSpec::parse_spec`]).

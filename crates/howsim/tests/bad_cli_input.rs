@@ -1,5 +1,6 @@
-//! Out-of-range `--memory` and `--interconnect` values, and architecture
-//! settings the chosen `--arch` does not have, are rejected while the
+//! Out-of-range `--memory` and `--interconnect` values, link faults too
+//! severe for the run's traffic to fit the clock, and architecture
+//! settings the chosen `--arch` does not have are rejected while the
 //! command line is parsed: exit status 1 and a message naming the flag,
 //! never a panic, an abort inside the simulator or a silent no-op.
 
@@ -136,31 +137,45 @@ fn interconnect_too_slow_for_the_clock_is_rejected() {
 }
 
 #[test]
-fn the_slowest_accepted_interconnect_ends_inside_the_clock() {
-    // Halve the rate until it is rejected; the last rate accepted must
-    // report an elapsed time inside the 2^64 ns clock.
-    for arch in ["active", "smp"] {
-        let mut rate = 1e-3;
-        let mut last_ok = None;
-        loop {
-            let out = at_rate(arch, "sort", &rate.to_string());
-            if out.status.code() == Some(1) {
-                break;
-            }
-            assert_eq!(out.status.code(), Some(0), "{arch} at {rate}");
-            last_ok = Some(String::from_utf8_lossy(&out.stdout).into_owned());
-            rate /= 2.0;
+fn link_severity_too_small_for_the_clock_is_rejected() {
+    // A NIC cut to 1e-300 of its rate would take longer than the clock
+    // lasts for one message, whether one fault or two compounding on
+    // one host set it.
+    for faults in [
+        &["link:1@1s:1e-300"][..],
+        &["link:1@1s:1e-150", "link:1@2s:1e-150"],
+    ] {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_howsim"));
+        cmd.args(["--arch", "cluster", "--disks", "4", "--task", "sort"]);
+        for spec in faults {
+            cmd.args(["--fault", spec]);
         }
-        let report = last_ok.unwrap_or_else(|| panic!("{arch}: 1e-3 MB/s rejected"));
-        let secs: f64 = report
-            .split(": ")
-            .nth(1)
-            .and_then(|rest| rest.split(' ').next())
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("no elapsed time in {report}"));
-        assert!(
-            secs > 1e6 && secs < 18_446_744_073.0,
-            "{arch} at {rate} MB/s: {secs} s"
-        );
+        let out = cmd.arg("--no-cache").output().expect("run howsim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{faults:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{faults:?}: {stderr}");
+        assert!(stderr.contains("--fault link"), "{faults:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{faults:?}: nothing simulated");
     }
+}
+
+#[test]
+fn a_default_interconnect_gets_the_verdict_of_no_flag() {
+    // The last arrival is bounded between 2^63 and 2^64 ns. The check
+    // reads only the interconnect's own traffic, so naming the default
+    // rate changes neither the verdict nor the report.
+    let run = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_howsim"))
+            .args(["--arch", "active", "--disks", "4", "--mix", "select:1"])
+            .args(["--load", "poisson:3e-9:1@7", "--no-cache"])
+            .args(extra)
+            .output()
+            .expect("run howsim")
+    };
+    let plain = run(&[]);
+    let named = run(&["--interconnect", "200"]);
+    let stderr = String::from_utf8_lossy(&named.stderr);
+    assert_eq!(plain.status.code(), Some(0));
+    assert_eq!(named.status.code(), Some(0), "{stderr}");
+    assert_eq!(plain.stdout, named.stdout);
 }

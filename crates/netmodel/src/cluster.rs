@@ -27,6 +27,10 @@ pub const HOSTS_PER_SWITCH: usize = 20;
 /// Ethernet payload efficiency (IP/TCP headers, inter-frame gaps).
 pub const ETHERNET_EFFICIENCY: f64 = 0.9;
 
+/// Line rate of each host's NIC (Fast Ethernet), before
+/// [`ETHERNET_EFFICIENCY`].
+pub const NIC_MBIT_PER_SEC: f64 = 100.0;
+
 /// A two-level switched Ethernet fabric.
 ///
 /// # Example
@@ -59,7 +63,7 @@ impl ClusterFabric {
         assert!(hosts > 0, "cluster needs at least one host");
         let total = hosts + 1; // + front-end
         let switches = total.div_ceil(HOSTS_PER_SWITCH);
-        let nic_bw = Bandwidth::from_mbit_per_sec(100.0).scale(ETHERNET_EFFICIENCY);
+        let nic_bw = Bandwidth::from_mbit_per_sec(NIC_MBIT_PER_SEC).scale(ETHERNET_EFFICIENCY);
         let nic_lat = Duration::from_micros(50);
         // Two GigE uplinks per edge switch, each direction.
         let up_bw = Bandwidth::from_mbit_per_sec(2_000.0).scale(ETHERNET_EFFICIENCY);
