@@ -2,8 +2,8 @@
 //! causal tracing subsystem, the loaded multi-query executor, and the
 //! copy-on-fork checkpointing paths.
 //!
-//! Six measurements, reported as one JSON object on stdout, or written
-//! to `FILE` instead with `--out FILE`:
+//! Six measurements, reported as one JSON object on stdout (progress
+//! goes to stderr):
 //!
 //! 1. Event-loop throughput on the 64-disk cluster join on both queue
 //!    backends — the arena calendar wheel and the binary heap baseline
@@ -31,15 +31,15 @@
 //!    checkpoint in MB/s.
 //!
 //! ```text
-//! cargo run --release -p bench --bin sweep_bench [workers] [--out FILE]
+//! cargo run --release -p bench --bin sweep_bench [workers] > sweep_bench.json
 //! ```
 //!
 //! The tracked `BENCH_PR9.json` is the record of one such run; the
-//! binary never writes it. `workers` defaults to 8. On a single-core host the parallel run
-//! cannot beat the serial one, so the speedup expectation is only
-//! asserted when `available_parallelism > 1`; the report records the
-//! machine's parallelism and labels the field so a sub-1.0 "speedup"
-//! on a 1-core host is not misread as a regression.
+//! binary writes no file. `workers` defaults to 8. On a single-core
+//! host the parallel run cannot beat the serial one, so the speedup
+//! expectation is only asserted when `available_parallelism > 1`; the
+//! report records the machine's parallelism and labels the field so a
+//! sub-1.0 "speedup" on a 1-core host is not misread as a regression.
 //!
 //! The report also carries a `trajectory` array folding the scheduler
 //! numbers of the earlier benchmark reports (`BENCH_PR1/2/4/6/7.json`)
@@ -323,16 +323,10 @@ fn assert_tracing_off_allocates_nothing() {
 }
 
 fn main() {
-    let mut workers = 8usize;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--out" {
-            out = Some(args.next().expect("--out needs a file name"));
-        } else {
-            workers = arg.parse().expect("workers must be a positive integer");
-        }
-    }
+    let workers: usize = std::env::args()
+        .nth(1)
+        .map(|a| a.parse().expect("workers must be a positive integer"))
+        .unwrap_or(8);
     assert!(workers > 0, "workers must be positive");
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
 
@@ -561,8 +555,5 @@ fn main() {
         warm_hits = warm_stats.hits,
         warm_misses = warm_stats.misses,
     );
-    match out {
-        Some(path) => std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}")),
-        None => print!("{json}"),
-    }
+    print!("{json}");
 }
