@@ -139,11 +139,11 @@ fn interconnect_too_slow_for_the_clock_is_rejected() {
 #[test]
 fn link_severity_too_small_for_the_clock_is_rejected() {
     // A NIC cut to 1e-300 of its rate would take longer than the clock
-    // lasts for one message, whether one fault or two compounding on
-    // one host set it.
+    // lasts for one message. Two faults of 1e-3 on one host compound to
+    // 1e-6, too slow for the sort's traffic, though either alone passes.
     for faults in [
         &["link:1@1s:1e-300"][..],
-        &["link:1@1s:1e-150", "link:1@2s:1e-150"],
+        &["link:1@1s:1e-3", "link:1@2s:1e-3"],
     ] {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_howsim"));
         cmd.args(["--arch", "cluster", "--disks", "4", "--task", "sort"]);
