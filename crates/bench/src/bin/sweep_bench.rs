@@ -16,8 +16,7 @@
 //!    revisions of this benchmark, run with the cache disabled so the
 //!    worker pool is actually exercised.
 //! 4. Tracing overhead: the same join with causal span profiling on
-//!    vs off (reports asserted identical), plus a zero-allocation
-//!    assert on the disabled span arena's record path.
+//!    vs off (reports asserted identical).
 //! 5. Multi-query executor: loaded event throughput on a four-query
 //!    closed-loop join workload, and the admission-layer overhead on a
 //!    one-query workload whose simulated latency is asserted equal to
@@ -40,21 +39,13 @@
 //! expectation is only asserted when `available_parallelism > 1`; the
 //! report records the machine's parallelism and labels the field so a
 //! sub-1.0 "speedup" on a 1-core host is not misread as a regression.
-//!
-//! The report also carries a `trajectory` array folding the scheduler
-//! numbers of the earlier benchmark reports (`BENCH_PR1/2/4/6/7.json`)
-//! so the event-loop progress is readable from one file.
 
 use std::time::Instant;
 
 use arch::Architecture;
 use howsim::{cache, checkpoint, sweep, AdmissionPolicy, DeadlinePolicy, Simulation, WorkloadSpec};
-use simcore::span::{SpanArena, SpanId, SpanKind};
 use simcore::{Duration, QueueBackend, SimTime};
 use tasks::TaskKind;
-
-#[global_allocator]
-static ALLOC: bench::CountingAlloc = bench::CountingAlloc;
 
 /// The `--quick` figure sweeps (the experiments binary's quick sizes).
 fn quick_sweeps() -> (usize, f64) {
@@ -300,28 +291,6 @@ fn checkpoint_probe(rounds: usize) -> (u64, f64, f64) {
     (bytes, best_snap, best_restore)
 }
 
-/// With tracing off, the span record path must perform zero heap
-/// allocations — the whole subsystem costs one branch per site.
-fn assert_tracing_off_allocates_nothing() {
-    let mut arena = SpanArena::disabled();
-    let (len, allocs) = bench::count_allocs(|| {
-        for i in 0..1_000_000u64 {
-            arena.record(
-                SpanId::NONE,
-                "disk_media",
-                SpanKind::DiskRead,
-                0,
-                SimTime::ZERO,
-                SimTime::from_nanos(i),
-                i,
-            );
-        }
-        arena.len()
-    });
-    assert_eq!(len, 0, "disabled arena must retain nothing");
-    assert_eq!(allocs, 0, "disabled span arena must not allocate");
-}
-
 fn main() {
     let workers: usize = std::env::args()
         .nth(1)
@@ -400,23 +369,8 @@ fn main() {
         "calendar wheel ({wheel_eps:.0} events/s) must not lose to the heap ({heap_eps:.0})"
     );
     let sched_speedup = heap_s / wheel_s;
-    // Prior-PR scheduler numbers, folded into the trajectory below (the
-    // retired sharded backend's numbers stay in BENCH_PR6-8.json).
-    const PR2_EPS: u64 = 5_520_663;
-    const PR4_WHEEL_EPS: u64 = 5_967_797;
-    const PR4_HEAP_EPS: u64 = 4_384_018;
-    const PR6_WHEEL_EPS: u64 = 9_623_495;
-    const PR6_HEAP_EPS: u64 = 7_704_511;
-    const PR7_WHEEL_EPS: u64 = 9_146_641;
-    const PR7_HEAP_EPS: u64 = 6_591_659;
-    const PR8_WHEEL_EPS: u64 = 8_475_204;
-    const PR8_HEAP_EPS: u64 = 6_218_254;
-    const PR8_LOADED_EPS: u64 = 8_036_574;
-    let vs_pr4 = wheel_eps / PR4_WHEEL_EPS as f64;
-    let vs_pr6 = wheel_eps / PR6_WHEEL_EPS as f64;
 
     eprintln!("tracing overhead (cluster 64 join, profiled vs plain)...");
-    assert_tracing_off_allocates_nothing();
     let (trace_off_s, trace_on_s, spans_recorded) = tracing_overhead(20);
     let trace_overhead = trace_on_s / trace_off_s - 1.0;
     // The design target is <3%, but this event loop retires ~10M
@@ -487,8 +441,6 @@ fn main() {
          \"wheel_events_per_sec\": {wheel_eps:.0},\n    \
          \"heap_events_per_sec\": {heap_eps:.0},\n    \
          \"wheel_vs_heap_speedup\": {sched_speedup:.3},\n    \
-         \"wheel_vs_pr4_wheel_speedup\": {vs_pr4:.3},\n    \
-         \"wheel_vs_pr6_wheel_speedup\": {vs_pr6:.3},\n    \
          \"reports_identical\": true\n  }},\n  \
          \"tracing\": {{\n    \
          \"config\": \"cluster 64-disk join, wheel backend\",\n    \
@@ -499,7 +451,6 @@ fn main() {
          \"overhead_ceiling_fraction\": 0.50,\n    \
          \"spans_recorded\": {spans_recorded},\n    \
          \"spans_dropped\": 0,\n    \
-         \"allocations_when_off\": 0,\n    \
          \"reports_identical\": true\n  }},\n  \
          \"multi_query\": {{\n    \
          \"config\": \"cluster 64-disk join, closed loop, 2 clients, 4 queries\",\n    \
@@ -541,14 +492,6 @@ fn main() {
          \"snapshot_mb_per_sec\": {snap_mb_per_s:.1},\n    \
          \"restore_mb_per_sec\": {restore_mb_per_s:.1},\n    \
          \"rows_identical\": true\n  }},\n  \
-         \"trajectory\": [\n    \
-         {{\"pr\": 1, \"source\": \"BENCH_PR1.json\", \"fifo_offer_10k_5_tags_us\": 61.3}},\n    \
-         {{\"pr\": 2, \"source\": \"BENCH_PR2.json\", \"events_per_sec\": {PR2_EPS}, \"fifo_offer_10k_5_tags_us\": 47.8}},\n    \
-         {{\"pr\": 4, \"source\": \"BENCH_PR4.json\", \"wheel_events_per_sec\": {PR4_WHEEL_EPS}, \"heap_events_per_sec\": {PR4_HEAP_EPS}, \"wheel_vs_heap_speedup\": 1.361}},\n    \
-         {{\"pr\": 6, \"source\": \"BENCH_PR6.json\", \"wheel_events_per_sec\": {PR6_WHEEL_EPS}, \"heap_events_per_sec\": {PR6_HEAP_EPS}, \"wheel_vs_pr4_wheel_speedup\": 1.613}},\n    \
-         {{\"pr\": 7, \"source\": \"BENCH_PR7.json\", \"wheel_events_per_sec\": {PR7_WHEEL_EPS}, \"heap_events_per_sec\": {PR7_HEAP_EPS}, \"tracing_overhead_fraction\": 0.3887}},\n    \
-         {{\"pr\": 8, \"source\": \"BENCH_PR8.json\", \"wheel_events_per_sec\": {PR8_WHEEL_EPS}, \"heap_events_per_sec\": {PR8_HEAP_EPS}, \"loaded_events_per_sec\": {PR8_LOADED_EPS}, \"admission_overhead_fraction\": 0.0176}},\n    \
-         {{\"pr\": 9, \"source\": \"this run\", \"wheel_events_per_sec\": {wheel_eps:.0}, \"heap_events_per_sec\": {heap_eps:.0}, \"loaded_events_per_sec\": {loaded_eps:.0}, \"availability_fork_speedup\": {avail_speedup:.3}, \"loadsweep_fork_speedup\": {ls_speedup:.3}}}\n  ],\n  \
          \"outputs_identical\": true\n}}\n",
         cold_hits = cold_stats.hits,
         cold_misses = cold_stats.misses,

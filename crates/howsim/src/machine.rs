@@ -173,7 +173,7 @@ impl Machine {
                 fc: match c.interconnect_kind {
                     InterconnectKind::DualLoop => ActiveWire::Loop(FcLoop::dual(c.interconnect)),
                     InterconnectKind::FibreSwitch => {
-                        ActiveWire::Switch(FcSwitchFabric::for_devices(c.disks))
+                        ActiveWire::Switch(FcSwitchFabric::for_devices(c.disks, c.interconnect))
                     }
                 },
                 fe_port: FifoServer::new(),
@@ -1102,11 +1102,16 @@ mod tests {
 
     #[test]
     fn fibre_switch_machine_transfers() {
-        let mut m = Machine::new(&Architecture::active_disks(32).with_fibre_switch());
+        let switched = Architecture::active_disks(32).with_fibre_switch();
+        let mut m = Machine::new(&switched);
         let t = m.peer_transfer(SimTime::ZERO, 0, 31, 1 << 20);
         assert!(t > SimTime::ZERO);
         let fe = m.fe_transfer(t, 3, 4_096);
         assert!(fe > t);
+        // The interconnect rate is each segment's: a slower one slows
+        // peer traffic.
+        let mut slow = Machine::new(&switched.with_interconnect_mb(50.0));
+        assert!(slow.peer_transfer(SimTime::ZERO, 0, 31, 1 << 20) > t);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The simulator's steady state asks the allocator for nothing per
-//! request: a healthy event loop past its warm-up allocates almost never,
-//! and a degraded machine's reads, writes and recovery reads allocate
-//! not at all.
+//! request: a healthy event loop past its warm-up allocates almost never;
+//! the calendar wheel's push/pop churn, a disabled span arena's record
+//! path, and a degraded machine's reads, writes and recovery reads
+//! allocate not at all.
 //!
 //! Allocations are counted per thread by this binary's global allocator,
 //! because the test harness runs tests on parallel threads.
@@ -12,7 +13,8 @@ use std::cell::Cell;
 use arch::Architecture;
 use howsim::machine::Machine;
 use howsim::{RecoveryPolicy, Simulation};
-use simcore::SimTime;
+use simcore::span::{SpanArena, SpanId, SpanKind};
+use simcore::{EventQueue, QueueBackend, SimTime, SplitMix64};
 use tasks::{plan_task, TaskKind};
 
 thread_local! {
@@ -47,6 +49,68 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// The counter sees allocations when they happen, so the zero counts
+/// below are not vacuous.
+#[test]
+fn counter_sees_allocations() {
+    let (_, n) = counted(|| std::hint::black_box(vec![1u8; 4096]));
+    assert!(n >= 1, "expected at least one allocation, saw {n}");
+}
+
+/// Steady-state churn on the calendar wheel performs zero heap
+/// allocations: every slot comes from the freelist the warm-up phase
+/// populated.
+#[test]
+fn arena_wheel_steady_state_allocates_nothing() {
+    let mut rng = SplitMix64::new(7);
+    let mut q = EventQueue::with_backend_capacity(QueueBackend::CalendarWheel, 512);
+    let mut t = 0u64;
+    // Warm up: reach steady depth and let every bucket, slab and
+    // scratch buffer grow to its working size.
+    for i in 0..512u64 {
+        q.push(SimTime::from_nanos(t + rng.next_below(1 << 22)), i);
+    }
+    for i in 0..20_000u64 {
+        let (now, _) = q.pop().expect("queue stays full");
+        t = now.as_nanos();
+        q.push(SimTime::from_nanos(t + 1 + rng.next_below(1 << 22)), i);
+    }
+    let (_, n) = counted(|| {
+        let mut sum = 0u64;
+        for i in 0..20_000u64 {
+            let (now, e) = q.pop().expect("queue stays full");
+            t = now.as_nanos();
+            sum = sum.wrapping_add(e);
+            q.push(SimTime::from_nanos(t + 1 + rng.next_below(1 << 22)), i);
+        }
+        sum
+    });
+    assert_eq!(n, 0, "the wheel allocated {n} times in steady state");
+}
+
+/// With tracing off, the span record path retains and allocates
+/// nothing: the whole subsystem costs one branch per site.
+#[test]
+fn tracing_off_allocates_nothing() {
+    let mut arena = SpanArena::disabled();
+    let (len, n) = counted(|| {
+        for i in 0..1_000_000u64 {
+            arena.record(
+                SpanId::NONE,
+                "disk_media",
+                SpanKind::DiskRead,
+                0,
+                SimTime::ZERO,
+                SimTime::from_nanos(i),
+                i,
+            );
+        }
+        arena.len()
+    });
+    assert_eq!(len, 0, "disabled arena must retain nothing");
+    assert_eq!(n, 0, "disabled span arena must not allocate");
 }
 
 fn architectures(disks: usize) -> [Architecture; 3] {

@@ -32,7 +32,7 @@ pub const DEVICES_PER_SEGMENT: usize = 8;
 /// use simcore::{Bandwidth, SimTime};
 ///
 /// // 128 disks on 16 segments: bisection grows with the segment count.
-/// let mut fabric = FcSwitchFabric::for_devices(128);
+/// let mut fabric = FcSwitchFabric::for_devices(128, Bandwidth::from_mb_per_sec(200.0));
 /// let t = fabric.transfer(SimTime::ZERO, 0, 127, 1_000_000, "shuffle");
 /// assert!(t > SimTime::ZERO);
 /// ```
@@ -78,15 +78,12 @@ impl FcSwitchFabric {
         }
     }
 
-    /// A fabric sized for `devices` devices at the paper's 200 MB/s dual
-    /// loop rate per segment of [`DEVICES_PER_SEGMENT`] drives.
-    pub fn for_devices(devices: usize) -> Self {
+    /// A fabric sized for `devices` devices, one segment per
+    /// [`DEVICES_PER_SEGMENT`] drives, each at `per_segment` aggregate
+    /// bandwidth (the paper's dual loop runs at 200 MB/s).
+    pub fn for_devices(devices: usize, per_segment: Bandwidth) -> Self {
         let segments = devices.div_ceil(DEVICES_PER_SEGMENT).max(1);
-        Self::new(
-            segments,
-            DEVICES_PER_SEGMENT,
-            Bandwidth::from_mb_per_sec(200.0),
-        )
+        Self::new(segments, DEVICES_PER_SEGMENT, per_segment)
     }
 
     /// Number of loop segments.
@@ -251,8 +248,8 @@ mod tests {
 
     #[test]
     fn bisection_grows_with_segments() {
-        let small = FcSwitchFabric::for_devices(32);
-        let large = FcSwitchFabric::for_devices(128);
+        let small = FcSwitchFabric::for_devices(32, Bandwidth::from_mb_per_sec(200.0));
+        let large = FcSwitchFabric::for_devices(128, Bandwidth::from_mb_per_sec(200.0));
         assert!(large.segments() > small.segments());
         assert!(
             large.bisection_bandwidth().bytes_per_sec()
@@ -262,9 +259,9 @@ mod tests {
 
     #[test]
     fn intra_segment_skips_the_switch_ports() {
-        let mut f = FcSwitchFabric::for_devices(16);
+        let mut f = FcSwitchFabric::for_devices(16, Bandwidth::from_mb_per_sec(200.0));
         let intra = f.transfer(SimTime::ZERO, 0, 1, 1_000_000, "x");
-        let mut f2 = FcSwitchFabric::for_devices(16);
+        let mut f2 = FcSwitchFabric::for_devices(16, Bandwidth::from_mb_per_sec(200.0));
         let cross = f2.transfer(SimTime::ZERO, 0, 9, 1_000_000, "x");
         assert!(cross > intra, "switch ports add serialization");
     }
@@ -273,7 +270,7 @@ mod tests {
     fn all_to_all_beats_a_shared_loop_at_scale() {
         use crate::fcloop::FcLoop;
         let volume = 1_000_000u64;
-        let mut switch = FcSwitchFabric::for_devices(128);
+        let mut switch = FcSwitchFabric::for_devices(128, Bandwidth::from_mb_per_sec(200.0));
         let mut single = FcLoop::dual(Bandwidth::from_mb_per_sec(200.0));
         let mut t_switch = SimTime::ZERO;
         let mut t_single = SimTime::ZERO;
@@ -290,7 +287,7 @@ mod tests {
 
     #[test]
     fn front_end_path_is_reachable_from_every_segment() {
-        let mut f = FcSwitchFabric::for_devices(32);
+        let mut f = FcSwitchFabric::for_devices(32, Bandwidth::from_mb_per_sec(200.0));
         for src in [0usize, 9, 17, 31] {
             let t = f.transfer_to_front_end(SimTime::ZERO, src, 4_096, "results");
             assert!(t > SimTime::ZERO);
@@ -300,7 +297,7 @@ mod tests {
 
     #[test]
     fn state_round_trips_and_continues_identically() {
-        let mut live = FcSwitchFabric::for_devices(32);
+        let mut live = FcSwitchFabric::for_devices(32, Bandwidth::from_mb_per_sec(200.0));
         live.transfer(SimTime::ZERO, 0, 9, 1_000_000, "x");
         live.transfer_to_front_end(SimTime::ZERO, 17, 250_000, "y");
 
@@ -308,7 +305,7 @@ mod tests {
         live.save_state(&mut w);
         let text = w.finish();
 
-        let mut restored = FcSwitchFabric::for_devices(32);
+        let mut restored = FcSwitchFabric::for_devices(32, Bandwidth::from_mb_per_sec(200.0));
         restored
             .load_state(&mut StateReader::new(&text))
             .expect("restore");
@@ -341,7 +338,7 @@ mod tests {
         #[test]
         fn prop_wire_floor(src in 0usize..64, dst in 0usize..64, bytes in 1u64..5_000_000) {
             prop_assume!(src != dst);
-            let mut f = FcSwitchFabric::for_devices(64);
+            let mut f = FcSwitchFabric::for_devices(64, Bandwidth::from_mb_per_sec(200.0));
             let t = f.transfer(SimTime::ZERO, src, dst, bytes, "x");
             let wire = bytes as f64 / (100e6 * DEFAULT_EFFICIENCY);
             prop_assert!(t.as_secs_f64() >= wire);
