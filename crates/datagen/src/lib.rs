@@ -1,17 +1,13 @@
-//! Dataset definitions and synthetic generators for the workload suite.
+//! Dataset definitions for the workload suite.
 //!
 //! [`DatasetSpec`] encodes Table 2 of the paper — the dataset each of the
-//! eight decision-support tasks runs on. The [`gen`] module synthesizes
-//! actual records at reduced scale so the [`kernels`] crate can execute the
-//! real algorithms (correctness tests and work-unit derivation); the
-//! simulator itself consumes only the aggregate shape (bytes, tuples,
-//! cardinalities).
-//!
-//! [`kernels`]: https://docs.rs/kernels
+//! eight decision-support tasks runs on. The simulator consumes only its
+//! aggregate shape (bytes, tuples, cardinalities); no records are
+//! generated. [`zipf::Zipf`] supplies the skewed partition weights of the
+//! skew-sensitivity extension.
 
 #![warn(missing_docs)]
 
-pub mod gen;
 pub mod spec;
 pub mod zipf;
 

@@ -244,37 +244,6 @@ impl DatasetSpec {
         }
         d
     }
-
-    /// A proportionally scaled-down copy for fast tests (same shape,
-    /// `1/factor` of the tuples and bytes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero or larger than the tuple count.
-    #[must_use]
-    pub fn scaled_down(&self, factor: u64) -> DatasetSpec {
-        assert!(factor > 0, "scale factor must be positive");
-        assert!(factor <= self.tuples, "cannot scale below one tuple");
-        let mut d = self.clone();
-        d.tuples /= factor;
-        d.total_bytes /= factor;
-        if let TaskParams::DataMine {
-            ref mut transactions,
-            ..
-        } = d.params
-        {
-            *transactions /= factor;
-        }
-        if let TaskParams::MaterializedView {
-            ref mut derived_bytes,
-            ref mut delta_bytes,
-        } = d.params
-        {
-            *derived_bytes /= factor;
-            *delta_bytes /= factor;
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -381,10 +350,10 @@ mod tests {
 
     #[test]
     fn scaling_preserves_shape() {
-        let d = DatasetSpec::sort().scaled_down(1_000);
+        let d = DatasetSpec::sort().scaled_up(4);
         assert_eq!(d.tuple_bytes, 100);
-        assert_eq!(d.tuples, 160_000_000 / 1_000);
-        assert_eq!(d.total_bytes, 16 * GB / 1_000);
+        assert_eq!(d.tuples, 4 * 160_000_000);
+        assert_eq!(d.total_bytes, 64 * GB);
     }
 
     #[test]
@@ -397,13 +366,11 @@ mod tests {
             }
             _ => panic!("wrong params"),
         }
-        // Round trip.
-        assert_eq!(d.scaled_down(4), DatasetSpec::dmine());
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_scale_rejected() {
-        let _ = DatasetSpec::sort().scaled_down(0);
+        let _ = DatasetSpec::sort().scaled_up(0);
     }
 }

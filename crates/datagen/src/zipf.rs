@@ -91,18 +91,6 @@ impl Zipf {
     }
 }
 
-/// Generates `n` tuples with Zipf(θ)-distributed keys over `distinct` ranks.
-pub fn zipf_tuples(n: usize, distinct: u64, theta: f64, seed: u64) -> Vec<crate::gen::Tuple> {
-    let zipf = Zipf::new(distinct as usize, theta);
-    let mut rng = SplitMix64::new(seed);
-    (0..n)
-        .map(|_| crate::gen::Tuple {
-            key: zipf.sample(&mut rng) as u64,
-            value: rng.next_below(1_000) as i64,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,15 +142,6 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-9);
         let max = w.iter().cloned().fold(0.0, f64::max);
         assert!(max > 2.0 / 16.0, "hot partition weight {max}");
-    }
-
-    #[test]
-    fn zipf_tuples_are_deterministic_and_skewed() {
-        let a = zipf_tuples(10_000, 100, 1.0, 5);
-        let b = zipf_tuples(10_000, 100, 1.0, 5);
-        assert_eq!(a, b);
-        let zeros = a.iter().filter(|t| t.key == 0).count();
-        assert!(zeros > 1_000, "rank-0 key count {zeros}");
     }
 
     #[test]

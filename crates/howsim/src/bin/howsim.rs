@@ -114,7 +114,6 @@ struct Options {
     trace_out: Option<String>,
     metrics_out: Option<String>,
     trace_events: Option<String>,
-    jobs: Option<usize>,
     disk_cache: bool,
     no_cache: bool,
     seed: u64,
@@ -141,7 +140,7 @@ fn parse_queue(name: &str) -> Result<QueueBackend, String> {
 fn usage() -> String {
     "usage: howsim [explain|profile|checkpoint] --arch <active|cluster|smp> --disks <n> --task <name>\n\
      \x20      [--memory <MB>] [--interconnect <MB/s>] [--no-direct]\n\
-     \x20      [--fibre-switch] [--fast-disk] [--jobs <n>] [--cache] [--no-cache]\n\
+     \x20      [--fibre-switch] [--fast-disk] [--cache] [--no-cache]\n\
      \x20      [--seed <n>] [--fault <spec>]... [--recovery <failstop|redistribute|reconstruct>]\n\
      \x20      [--queue <heap|wheel>]\n\
      \x20      [--trace <file.csv>] [--trace-out <file.jsonl>] [--metrics-out <file.json>]\n\
@@ -185,7 +184,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         trace_out: None,
         metrics_out: None,
         trace_events: None,
-        jobs: None,
         disk_cache: false,
         no_cache: false,
         seed: 0,
@@ -249,15 +247,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
             "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?),
             "--trace-events" => opts.trace_events = Some(value("--trace-events")?),
-            "--jobs" => {
-                let n: usize = value("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-                if n == 0 {
-                    return Err("--jobs must be positive".to_string());
-                }
-                opts.jobs = Some(n);
-            }
             "--cache" => opts.disk_cache = true,
             "--no-cache" => opts.no_cache = true,
             "--seed" => {
@@ -291,6 +280,22 @@ fn parse(args: &[String]) -> Result<Options, String> {
     }
     if opts.disks == 0 {
         return Err("--disks must be positive".to_string());
+    }
+    // The simulator skips a fault on a node the machine lacks, which
+    // would print a healthy report for a faulted run.
+    for spec in &opts.faults {
+        for e in FaultPlan::parse_spec(spec)?.events() {
+            let (FaultKind::DiskFailStop { node }
+            | FaultKind::MediaBurst { node, .. }
+            | FaultKind::LinkFault { node, .. }) = e.kind;
+            if node >= opts.disks {
+                return Err(format!(
+                    "--fault {spec}: no node {node} on --disks {} (nodes 0 to {})",
+                    opts.disks,
+                    opts.disks - 1
+                ));
+            }
+        }
     }
     // A setting the architecture does not have is an error, not a no-op.
     let arch_flags: [(&str, bool, &[&str]); 4] = [
@@ -797,9 +802,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(jobs) = opts.jobs {
-        howsim::sweep::set_default_jobs(jobs);
-    }
     if opts.no_cache {
         howsim::cache::set_enabled(false);
     } else if opts.disk_cache {
@@ -1009,7 +1011,7 @@ mod tests {
         let o = parse(&argv(
             "--arch active --disks 128 --task sort --memory 64 --interconnect 400 \
              --no-direct --fibre-switch --fast-disk --trace t.csv --trace-out t.jsonl \
-             --metrics-out m.json --jobs 4 --cache",
+             --metrics-out m.json --cache",
         ))
         .unwrap();
         assert_eq!(o.arch, "active");
@@ -1023,7 +1025,6 @@ mod tests {
         assert_eq!(o.trace_path.as_deref(), Some("t.csv"));
         assert_eq!(o.trace_out.as_deref(), Some("t.jsonl"));
         assert_eq!(o.metrics_out.as_deref(), Some("m.json"));
-        assert_eq!(o.jobs, Some(4));
         assert!(o.disk_cache);
         assert!(!o.no_cache);
     }
@@ -1069,7 +1070,8 @@ mod tests {
         assert!(parse(&argv("--disks 0")).is_err());
         assert!(parse(&argv("--bogus")).is_err());
         assert!(parse(&argv("--disks")).is_err());
-        assert!(parse(&argv("--jobs 0")).is_err());
+        // One run simulates on one thread: `--jobs` is not a flag.
+        assert!(parse(&argv("--jobs 4")).is_err());
         assert!(parse(&argv("--metrics-out")).is_err());
         assert!(parse(&argv("--help")).is_err());
     }
@@ -1097,6 +1099,9 @@ mod tests {
         assert!(parse(&argv("--recovery raid6")).is_err());
         assert!(parse(&argv("--seed abc")).is_err());
         assert!(parse(&argv("--fault")).is_err());
+        // Fault nodes are checked against --disks wherever it appears.
+        assert!(parse(&argv("--fault disk:3@1s --disks 4")).is_ok());
+        assert!(parse(&argv("--fault disk:4@1s --disks 4")).is_err());
     }
 
     #[test]

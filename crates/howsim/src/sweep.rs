@@ -9,7 +9,7 @@
 //! `--jobs 1` and `--jobs 8` produce the same bytes, only faster.
 //!
 //! The worker count defaults to the machine's available parallelism and
-//! can be overridden process-wide (the binaries' `--jobs N` flag calls
+//! can be overridden process-wide (`experiments --jobs N` calls
 //! [`set_default_jobs`]) or per call with [`map_jobs`].
 //!
 //! # Example

@@ -1,8 +1,9 @@
-//! Out-of-range `--memory` and `--interconnect` values, link faults too
-//! severe for the run's traffic to fit the clock, and architecture
-//! settings the chosen `--arch` does not have are rejected while the
-//! command line is parsed: exit status 1 and a message naming the flag,
-//! never a panic, an abort inside the simulator or a silent no-op.
+//! Out-of-range `--memory` and `--interconnect` values, faults on nodes
+//! the machine lacks, link faults too severe for the run's traffic to
+//! fit the clock, and architecture settings the chosen `--arch` does not
+//! have are rejected while the command line is parsed: exit status 1 and
+//! a message naming the flag, never a panic, an abort inside the
+//! simulator or a silent no-op.
 
 use std::process::Command;
 
@@ -101,6 +102,17 @@ fn fibre_switch_off_active_disks_is_rejected() {
             &["--fibre-switch"],
             &["--fibre-switch", "--arch active"],
         );
+    }
+}
+
+#[test]
+fn a_fault_on_a_node_past_the_last_is_rejected() {
+    // disk:99 on 4 disks once exited 0 with the healthy report and no
+    // `faults:` line: the simulator skips a fault on a missing node.
+    for spec in ["disk:99@1s", "disk:4@1s", "slow:4@1s:128", "link:4@1s:0.5"] {
+        for arch in ["active", "cluster", "smp"] {
+            rejects_on(arch, &["--fault", spec], &["--fault", spec]);
+        }
     }
 }
 

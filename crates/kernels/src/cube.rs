@@ -1,194 +1,13 @@
-//! The datacube operator: lattice enumeration, hash-table sizing, and
-//! PipeHash-style pass planning (Agarwal et al., "On the computation of
-//! multidimensional aggregates").
+//! Datacube pass packing (PipeHash, Agarwal et al., "On the computation
+//! of multidimensional aggregates").
 //!
 //! PipeHash "tries to minimize the number of passes by scheduling several
 //! group-bys as a pipeline"; how many group-bys share one scan is limited
 //! by the memory available for their hash tables. That memory dependence
-//! is exactly what the paper's Figure 4 probes: at 16 disks the largest
-//! group-by's 695 MB hash table does not fit in 512 MB of aggregate disk
-//! memory (so partial tables are forwarded to the front-end), and at 64
-//! disks doubling memory merges 14 group-bys into a single scan (2.3 GB
-//! needed), cutting the pass count from three to two.
-
-use std::collections::HashMap;
-
-use datagen::gen::CubeFact;
-
-/// A group-by in a `d`-dimensional cube: a bitmask over dimensions.
-pub type GroupMask = u16;
-
-/// All group-bys of a `dims`-dimensional cube **except** the raw
-/// all-dimensions one: `2^dims − 1` masks (15 for the paper's 4-d cube),
-/// from the total (empty mask) up.
-///
-/// # Panics
-///
-/// Panics if `dims` is 0 or exceeds 16.
-pub fn lattice(dims: usize) -> Vec<GroupMask> {
-    assert!((1..=16).contains(&dims), "dims must be in 1..=16");
-    let full = (1u16 << dims) - 1;
-    (0..full).collect()
-}
-
-/// Computes one group-by of the cube over concrete facts: aggregates the
-/// measure by the dimensions selected in `mask`.
-pub fn compute_groupby(facts: &[CubeFact], mask: GroupMask) -> HashMap<Vec<u32>, i64> {
-    let mut table: HashMap<Vec<u32>, i64> = HashMap::new();
-    for f in facts {
-        let key: Vec<u32> = (0..4)
-            .filter(|d| mask & (1 << d) != 0)
-            .map(|d| f.dims[d])
-            .collect();
-        *table.entry(key).or_insert(0) += f.measure;
-    }
-    table
-}
-
-/// Computes every group-by in `masks`.
-pub fn compute_cube(
-    facts: &[CubeFact],
-    masks: &[GroupMask],
-) -> HashMap<GroupMask, HashMap<Vec<u32>, i64>> {
-    masks
-        .iter()
-        .map(|&m| (m, compute_groupby(facts, m)))
-        .collect()
-}
-
-/// Expected number of distinct dimension-value combinations when `n`
-/// uniform tuples are drawn over a combination space of size `space`
-/// (the standard occupancy estimate `P·(1 − (1 − 1/P)^n)`).
-pub fn expected_distinct(n: u64, space: f64) -> f64 {
-    if space <= 1.0 {
-        return 1.0;
-    }
-    // 1 − (1 − 1/P)^n ≈ 1 − e^(−n/P), numerically stable for huge P.
-    space * -(-(n as f64) / space).exp_m1()
-}
-
-/// The result of planning cube passes under a memory budget.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CubePlan {
-    /// Scans over the input; each inner vec lists the group-by indices
-    /// whose hash tables are co-resident during that scan.
-    pub passes: Vec<Vec<usize>>,
-    /// Group-bys whose hash table alone exceeds the memory budget: their
-    /// partial tables must be forwarded to the front-end during the scan.
-    pub spilled: Vec<usize>,
-}
-
-impl CubePlan {
-    /// Total number of input scans (each pass and each spilled group-by
-    /// costs one scan).
-    pub fn scan_count(&self) -> usize {
-        self.passes.len() + self.spilled.len()
-    }
-}
-
-/// Packs group-bys (given their hash-table sizes in bytes) into the fewest
-/// scans such that each scan's tables fit in `memory_bytes`, using
-/// first-fit-decreasing. Two PipeHash structural rules apply:
-///
-/// * The **largest** group-by is the root of the pipeline fed directly by
-///   the raw-relation scan, so it always gets a dedicated scan (this is
-///   why the paper counts "14 group-bys \[that\] can be merged into a single
-///   scan" out of 15).
-/// * Group-bys that individually exceed the budget are reported as
-///   *spilled*: they still cost one scan, but partial hash tables must be
-///   forwarded to the front-end during it (the 695 MB table at 16 disks).
-///
-/// # Panics
-///
-/// Panics if `memory_bytes` is zero.
-pub fn plan_passes(table_bytes: &[u64], memory_bytes: u64) -> CubePlan {
-    assert!(memory_bytes > 0, "memory budget must be positive");
-    let mut order: Vec<usize> = (0..table_bytes.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(table_bytes[i]));
-    let mut passes: Vec<(u64, Vec<usize>)> = Vec::new();
-    let mut spilled = Vec::new();
-    for (rank, i) in order.into_iter().enumerate() {
-        let size = table_bytes[i];
-        if size > memory_bytes {
-            spilled.push(i);
-            continue;
-        }
-        if rank == 0 && table_bytes.len() > 1 {
-            // Pipeline root: dedicated scan.
-            passes.push((memory_bytes, vec![i]));
-            continue;
-        }
-        match passes
-            .iter_mut()
-            .find(|(used, _)| used + size <= memory_bytes)
-        {
-            Some((used, members)) => {
-                *used += size;
-                members.push(i);
-            }
-            None => passes.push((size, vec![i])),
-        }
-    }
-    spilled.sort_unstable();
-    CubePlan {
-        passes: passes.into_iter().map(|(_, m)| m).collect(),
-        spilled,
-    }
-}
-
-/// Estimated hash-table entry counts for every group-by of a cube over
-/// `n` tuples whose dimension `d` has `cardinalities[d]` distinct values,
-/// indexed by mask. The full-mask entry is the raw-relation granularity.
-pub fn estimate_sizes(n: u64, cardinalities: &[u64]) -> Vec<f64> {
-    let dims = cardinalities.len();
-    let full = 1usize << dims;
-    (0..full)
-        .map(|mask| {
-            let space: f64 = (0..dims)
-                .filter(|d| mask & (1 << d) != 0)
-                .map(|d| cardinalities[d] as f64)
-                .product();
-            expected_distinct(n, space)
-        })
-        .collect()
-}
-
-/// PipeHash's parent-selection heuristic (Agarwal et al.): each group-by
-/// is computed from the **smallest** strict superset group-by, since
-/// aggregating a small parent is cheaper than rescanning a large one.
-/// Returns `(child_mask, parent_mask)` pairs for every group-by except
-/// the full one (which is computed from the raw relation).
-///
-/// # Panics
-///
-/// Panics if `cardinalities` is empty or longer than 16.
-pub fn pipehash_tree(n: u64, cardinalities: &[u64]) -> Vec<(GroupMask, GroupMask)> {
-    assert!(
-        (1..=16).contains(&cardinalities.len()),
-        "dims must be in 1..=16"
-    );
-    let sizes = estimate_sizes(n, cardinalities);
-    let dims = cardinalities.len();
-    let full = (1usize << dims) - 1;
-    let mut tree = Vec::with_capacity(full);
-    for child in 0..full {
-        // Candidate parents: supersets with exactly one extra dimension
-        // (larger supersets are never smaller than one of these, since
-        // adding a dimension cannot reduce the distinct count).
-        let parent = (0..dims)
-            .filter(|d| child & (1 << d) == 0)
-            .map(|d| child | (1 << d))
-            .min_by(|&a, &b| {
-                sizes[a]
-                    .partial_cmp(&sizes[b])
-                    .expect("sizes are finite")
-                    .then(a.cmp(&b))
-            })
-            .expect("every non-full mask has a superset");
-        tree.push((child as GroupMask, parent as GroupMask));
-    }
-    tree
-}
+//! is exactly what the paper's Figure 4 probes: at 64 disks doubling
+//! memory merges 14 group-bys into a single scan (2.3 GB needed), cutting
+//! the pass count from three to two. The planner's dcube packs the
+//! group-bys below the pipeline root with [`pack_first_fit`].
 
 /// Plain first-fit-decreasing packing (no pipeline-root rule): partitions
 /// the group-bys into the fewest memory-feasible batches. Oversized items
@@ -221,203 +40,29 @@ pub fn pack_first_fit(table_bytes: &[u64], memory_bytes: u64) -> Vec<Vec<usize>>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datagen::gen::cube_facts;
     use proptest::prelude::*;
-
-    const MB: u64 = 1 << 20;
-
-    #[test]
-    fn lattice_has_fifteen_groupbys_for_four_dims() {
-        let l = lattice(4);
-        assert_eq!(l.len(), 15);
-        assert!(!l.contains(&0b1111), "raw relation excluded");
-        assert!(l.contains(&0), "the total (empty group-by) included");
-    }
-
-    #[test]
-    fn child_groupby_derivable_from_parent() {
-        let facts = cube_facts(5_000, [20, 10, 5, 3], 1);
-        // Group-by {A} computed from raw equals re-aggregating {A,B}.
-        let a_direct = compute_groupby(&facts, 0b0001);
-        let ab = compute_groupby(&facts, 0b0011);
-        let mut a_from_ab: HashMap<Vec<u32>, i64> = HashMap::new();
-        for (key, v) in ab {
-            *a_from_ab.entry(vec![key[0]]).or_insert(0) += v;
-        }
-        assert_eq!(a_direct, a_from_ab);
-    }
-
-    #[test]
-    fn total_groupby_is_grand_sum() {
-        let facts = cube_facts(2_000, [4, 4, 4, 4], 2);
-        let total = compute_groupby(&facts, 0);
-        let grand: i64 = facts.iter().map(|f| f.measure).sum();
-        assert_eq!(total[&Vec::<u32>::new()], grand);
-        assert_eq!(total.len(), 1);
-    }
-
-    #[test]
-    fn compute_cube_covers_all_masks() {
-        let facts = cube_facts(500, [3, 3, 3, 3], 3);
-        let cube = compute_cube(&facts, &lattice(4));
-        assert_eq!(cube.len(), 15);
-    }
-
-    #[test]
-    fn expected_distinct_limits() {
-        // Tiny space: saturates at the space size.
-        assert!((expected_distinct(1_000_000, 10.0) - 10.0).abs() < 1e-6);
-        // Huge space: approaches n.
-        let e = expected_distinct(1_000, 1e18);
-        assert!((e - 1_000.0).abs() < 1.0, "{e}");
-    }
-
-    #[test]
-    fn paper_scenario_16_disks() {
-        // The paper's sizes: the largest group-by's table is 695 MB; the
-        // other 14 sum to 2.3 GB.
-        let mut sizes = vec![695 * MB];
-        sizes.extend(std::iter::repeat_n(2_300 * MB / 14, 14));
-        // 16 disks × 32 MB = 512 MB: the big table spills to the front-end.
-        let plan32 = plan_passes(&sizes, 512 * MB);
-        assert_eq!(plan32.spilled, vec![0]);
-        // 16 disks × 64 MB = 1 GB: everything fits in some pass.
-        let plan64 = plan_passes(&sizes, 1_024 * MB);
-        assert!(plan64.spilled.is_empty());
-        assert!(
-            plan64.scan_count() < plan32.scan_count(),
-            "64 MB plan ({}) beats 32 MB plan ({})",
-            plan64.scan_count(),
-            plan32.scan_count()
-        );
-    }
-
-    #[test]
-    fn paper_scenario_64_disks() {
-        let mut sizes = vec![695 * MB];
-        sizes.extend(std::iter::repeat_n(2_300 * MB / 14, 14));
-        // 64 × 32 MB = 2 GB: 2.3 GB of small tables cannot share one scan.
-        let plan32 = plan_passes(&sizes, 2_048 * MB);
-        assert_eq!(plan32.scan_count(), 3, "three passes at 32 MB/disk");
-        // 64 × 64 MB = 4 GB: 14-in-one plus the big one → two passes.
-        let plan64 = plan_passes(&sizes, 4_096 * MB);
-        assert_eq!(plan64.scan_count(), 2, "two passes at 64 MB/disk");
-    }
-
-    #[test]
-    fn estimate_sizes_cover_the_lattice() {
-        let sizes = estimate_sizes(10_000, &[50, 5, 2, 100]);
-        assert_eq!(sizes.len(), 16);
-        assert!((sizes[0] - 1.0).abs() < 1e-9, "empty group-by has one row");
-        // Adding a dimension never shrinks the estimate.
-        for mask in 0..15usize {
-            for d in 0..4 {
-                if mask & (1 << d) == 0 {
-                    assert!(sizes[mask | (1 << d)] >= sizes[mask] - 1e-9);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pipehash_tree_picks_smallest_parents() {
-        let cards = [1_000, 100, 10, 2];
-        let n = 1_000_000;
-        let sizes = estimate_sizes(n, &cards);
-        let tree = pipehash_tree(n, &cards);
-        assert_eq!(tree.len(), 15);
-        for &(child, parent) in &tree {
-            // Parent is a strict superset with one extra dimension.
-            assert_eq!(parent & child, child);
-            assert_eq!((parent ^ child).count_ones(), 1);
-            // No other one-extra-dimension superset is smaller.
-            for d in 0..4u16 {
-                if child & (1 << d) == 0 {
-                    let other = child | (1 << d);
-                    assert!(
-                        sizes[parent as usize] <= sizes[other as usize] + 1e-9,
-                        "child {child:#06b}: parent {parent:#06b} vs smaller {other:#06b}"
-                    );
-                }
-            }
-        }
-        // The dimension with cardinality 2 should be the favourite add-on.
-        let (_, parent_of_empty) = tree.iter().find(|&&(c, _)| c == 0).unwrap();
-        assert_eq!(
-            *parent_of_empty, 0b1000,
-            "cheapest single dim is D (card 2)"
-        );
-    }
-
-    #[test]
-    fn pipehash_tree_aggregation_is_correct() {
-        // Computing a child from its chosen parent equals computing it
-        // from the raw facts.
-        let cards = [20u64, 10, 5, 2];
-        let facts = cube_facts(5_000, cards, 77);
-        let tree = pipehash_tree(5_000, &cards);
-        for &(child, parent) in tree.iter().filter(|&&(_, p)| p != 0b1111) {
-            let direct = compute_groupby(&facts, child);
-            let parent_table = compute_groupby(&facts, parent);
-            // Re-aggregate the parent onto the child's dimensions.
-            let parent_dims: Vec<usize> = (0..4).filter(|d| parent & (1 << d) != 0).collect();
-            let mut from_parent: HashMap<Vec<u32>, i64> = HashMap::new();
-            for (key, v) in parent_table {
-                let child_key: Vec<u32> = parent_dims
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &d)| child & (1 << d) != 0)
-                    .map(|(i, _)| key[i])
-                    .collect();
-                *from_parent.entry(child_key).or_insert(0) += v;
-            }
-            assert_eq!(direct, from_parent, "child {child:#06b} from {parent:#06b}");
-        }
-    }
-
-    #[test]
-    fn oversized_everything_spills() {
-        let plan = plan_passes(&[10 * MB, 20 * MB], 5 * MB);
-        assert_eq!(plan.spilled, vec![0, 1]);
-        assert!(plan.passes.is_empty());
-        assert_eq!(plan.scan_count(), 2);
-    }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_memory_rejected() {
-        plan_passes(&[1], 0);
+        pack_first_fit(&[1], 0);
     }
 
     proptest! {
-        /// Every group-by is in exactly one pass or spilled; no pass
-        /// overflows the budget.
+        /// Every table lands in exactly one batch, and a batch that holds
+        /// two or more tables fits the budget.
         #[test]
-        fn prop_plan_is_a_partition(sizes in proptest::collection::vec(1u64..100, 1..40), mem in 1u64..200) {
-            let plan = plan_passes(&sizes, mem);
+        fn prop_packing_is_a_partition(sizes in proptest::collection::vec(1u64..100, 0..40), mem in 1u64..200) {
+            let batches = pack_first_fit(&sizes, mem);
             let mut seen = vec![0u8; sizes.len()];
-            for pass in &plan.passes {
-                let total: u64 = pass.iter().map(|&i| sizes[i]).sum();
-                prop_assert!(total <= mem);
-                for &i in pass {
+            for batch in &batches {
+                let total: u64 = batch.iter().map(|&i| sizes[i]).sum();
+                prop_assert!(batch.len() == 1 || total <= mem);
+                for &i in batch {
                     seen[i] += 1;
                 }
             }
-            for &i in &plan.spilled {
-                prop_assert!(sizes[i] > mem);
-                seen[i] += 1;
-            }
             prop_assert!(seen.iter().all(|&c| c == 1));
-        }
-
-        /// More memory (essentially) never increases the scan count.
-        /// First-fit-decreasing has rare capacity anomalies, so allow one
-        /// scan of slack.
-        #[test]
-        fn prop_memory_monotone(sizes in proptest::collection::vec(1u64..100, 1..30), mem in 1u64..150) {
-            let small = plan_passes(&sizes, mem);
-            let big = plan_passes(&sizes, mem * 2);
-            prop_assert!(big.scan_count() <= small.scan_count() + 1);
         }
     }
 }

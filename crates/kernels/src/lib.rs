@@ -1,36 +1,16 @@
-//! Real, executable implementations of the eight decision-support
-//! algorithms of the paper's workload suite.
+//! The two algorithm helpers the `tasks` planner builds its plans with.
 //!
 //! The paper acquired CPU/I/O traces by running each algorithm on a DEC
-//! Alpha workstation. This reproduction replaces machine-timed traces with
-//! *executed algorithms over reduced-scale synthetic data* (correctness
-//! and structural validation) plus a deterministic cost model in the
-//! `tasks` crate (timing). Each module here is the algorithm the paper's
-//! task is built on:
+//! Alpha workstation. This reproduction replaces those traces with the
+//! `tasks` crate's analytic work-unit counts; what it keeps of the
+//! algorithms themselves is the two decisions that change a plan's shape:
 //!
-//! * [`select`] — predicate scan (SQL select).
-//! * [`aggregate`] — zero-dimensional SUM.
-//! * [`groupby`] — hash group-by.
-//! * [`sort`] — external sort: run formation + multiway merge
-//!   (the Active Disk variant of NOW-sort's two-phase structure).
-//! * [`cube`] — the datacube: lattice enumeration, hash-table size
-//!   estimation and PipeHash-style pass planning (Agarwal et al.).
-//! * [`join`] — partitioned (Grace-style) projected hash join.
-//! * [`apriori`] — frequent-itemset mining (Agrawal et al.), with
-//!   [`rules`] deriving the association rules themselves.
-//! * [`bucketsort`] — NOW-sort's O(n) partial-key bucket sort, the
-//!   run-formation kernel the sort cost model assumes.
-//! * [`mview`] — materialized-view maintenance by delta merging.
+//! * [`cube::pack_first_fit`] — PipeHash's packing of datacube group-bys
+//!   into memory-feasible scans, which sets the dcube pass count.
+//! * [`sort::run_count`] — the number of runs each node's external sort
+//!   forms, which sets the merge fan-in.
 
 #![warn(missing_docs)]
 
-pub mod aggregate;
-pub mod apriori;
-pub mod bucketsort;
 pub mod cube;
-pub mod groupby;
-pub mod join;
-pub mod mview;
-pub mod rules;
-pub mod select;
 pub mod sort;

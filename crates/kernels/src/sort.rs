@@ -1,102 +1,11 @@
-//! External sort: run formation plus multiway merge.
+//! External sort run counts.
 //!
 //! The Active Disk sort in the paper is a two-phase distributed sort in the
 //! NOW-sort family: phase 1 range-partitions tuples to their destination
 //! node, which sorts memory-sized runs and writes them; phase 2 merges the
-//! runs. The kernel here implements the node-local pieces: run formation
-//! bounded by available memory, and an r-way heap merge. The number of
-//! runs — 40 runs of 25 MB at 32 MB of disk memory versus 20 runs of 50 MB
-//! at 64 MB, in the paper's Section 4.3 — is exactly what the `run_count`
-//! helper computes.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use datagen::gen::SortRecord;
-
-/// Splits `input` into sorted runs of at most `run_len` records.
-///
-/// # Panics
-///
-/// Panics if `run_len` is zero.
-///
-/// # Example
-///
-/// ```
-/// use datagen::gen::sort_records;
-/// use kernels::sort::form_runs;
-/// let runs = form_runs(sort_records(1_000, 1), 100);
-/// assert_eq!(runs.len(), 10);
-/// assert!(runs.iter().all(|r| r.windows(2).all(|w| w[0].key <= w[1].key)));
-/// ```
-pub fn form_runs(input: Vec<SortRecord>, run_len: usize) -> Vec<Vec<SortRecord>> {
-    assert!(run_len > 0, "run length must be positive");
-    let mut runs = Vec::new();
-    let mut input = input;
-    while !input.is_empty() {
-        let rest = input.split_off(input.len().min(run_len));
-        let mut run = input;
-        run.sort_unstable_by(|a, b| a.key.cmp(&b.key).then(a.origin.cmp(&b.origin)));
-        runs.push(run);
-        input = rest;
-    }
-    runs
-}
-
-/// Merges sorted runs into one sorted output using an r-way heap.
-///
-/// # Panics
-///
-/// Panics if any run is not sorted (debug builds check a sample).
-pub fn merge_runs(runs: Vec<Vec<SortRecord>>) -> Vec<SortRecord> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    // Heap of (key, origin, run index, position).
-    let mut heap = BinaryHeap::new();
-    for (ri, run) in runs.iter().enumerate() {
-        debug_assert!(
-            run.windows(2).all(|w| w[0].key <= w[1].key),
-            "run {ri} must be sorted"
-        );
-        if let Some(first) = run.first() {
-            heap.push(Reverse((first.key, first.origin, ri, 0usize)));
-        }
-    }
-    while let Some(Reverse((_, _, ri, pos))) = heap.pop() {
-        out.push(runs[ri][pos]);
-        if pos + 1 < runs[ri].len() {
-            let next = runs[ri][pos + 1];
-            heap.push(Reverse((next.key, next.origin, ri, pos + 1)));
-        }
-    }
-    out
-}
-
-/// Full external sort: run formation then merge.
-pub fn external_sort(input: Vec<SortRecord>, run_len: usize) -> Vec<SortRecord> {
-    merge_runs(form_runs(input, run_len))
-}
-
-/// Range partition: assigns a record to one of `parts` buckets by the key's
-/// leading bytes (keys are uniform, so equal-width ranges balance).
-///
-/// # Panics
-///
-/// Panics if `parts` is zero.
-pub fn partition_of(record: &SortRecord, parts: usize) -> usize {
-    assert!(parts > 0, "need at least one partition");
-    let prefix = u64::from_be_bytes([
-        record.key[0],
-        record.key[1],
-        record.key[2],
-        record.key[3],
-        record.key[4],
-        record.key[5],
-        record.key[6],
-        record.key[7],
-    ]);
-    ((prefix as u128 * parts as u128) >> 64) as usize
-}
+//! runs. The number of runs — 40 runs of 25 MB at 32 MB of disk memory
+//! versus 20 runs of 50 MB at 64 MB, in the paper's Section 4.3 — is what
+//! [`run_count`] computes; the planner's merge phase is costed from it.
 
 /// Number of runs each node forms: per-node data divided by the sort
 /// buffer that fits in disk memory.
@@ -117,51 +26,6 @@ pub fn run_count(node_bytes: u64, buffer_bytes: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datagen::gen::sort_records;
-    use proptest::prelude::*;
-
-    fn is_sorted(v: &[SortRecord]) -> bool {
-        v.windows(2).all(|w| w[0].key <= w[1].key)
-    }
-
-    #[test]
-    fn external_sort_sorts() {
-        let input = sort_records(10_000, 42);
-        let out = external_sort(input.clone(), 1_000);
-        assert!(is_sorted(&out));
-        assert_eq!(out.len(), input.len());
-    }
-
-    #[test]
-    fn output_is_a_permutation() {
-        let input = sort_records(5_000, 1);
-        let out = external_sort(input.clone(), 700);
-        let mut origins: Vec<u64> = out.iter().map(|r| r.origin).collect();
-        origins.sort_unstable();
-        let expected: Vec<u64> = (0..5_000).collect();
-        assert_eq!(origins, expected);
-    }
-
-    #[test]
-    fn run_boundaries_respected() {
-        let runs = form_runs(sort_records(1_050, 2), 100);
-        assert_eq!(runs.len(), 11);
-        assert_eq!(runs[10].len(), 50);
-        assert!(runs.iter().all(|r| is_sorted(r)));
-    }
-
-    #[test]
-    fn merge_of_single_run_is_identity() {
-        let mut run = sort_records(100, 3);
-        run.sort_unstable_by(|a, b| a.key.cmp(&b.key).then(a.origin.cmp(&b.origin)));
-        assert_eq!(merge_runs(vec![run.clone()]), run);
-    }
-
-    #[test]
-    fn merge_of_empty_is_empty() {
-        assert!(merge_runs(vec![]).is_empty());
-        assert!(merge_runs(vec![vec![], vec![]]).is_empty());
-    }
 
     #[test]
     fn paper_run_counts() {
@@ -169,58 +33,5 @@ mod tests {
         assert_eq!(run_count(1_000 << 20, 25 << 20), 40);
         // 64 MB disks: 50 MB buffer → 20 runs.
         assert_eq!(run_count(1_000 << 20, 50 << 20), 20);
-    }
-
-    #[test]
-    fn partitions_are_balanced() {
-        let records = sort_records(40_000, 9);
-        let parts = 16;
-        let mut counts = vec![0usize; parts];
-        for r in &records {
-            counts[partition_of(r, parts)] += 1;
-        }
-        let expect = records.len() / parts;
-        for (i, &c) in counts.iter().enumerate() {
-            assert!(
-                (c as f64 - expect as f64).abs() < expect as f64 * 0.2,
-                "partition {i} has {c}, expected ~{expect}"
-            );
-        }
-    }
-
-    #[test]
-    fn partition_respects_key_order() {
-        // A record in a lower partition has a smaller (or equal) key
-        // prefix than one in a higher partition.
-        let records = sort_records(2_000, 10);
-        let parts = 8;
-        for a in &records[..200] {
-            for b in &records[..200] {
-                let (pa, pb) = (partition_of(a, parts), partition_of(b, parts));
-                if pa < pb {
-                    assert!(a.key <= b.key, "range partitioning is ordered");
-                }
-            }
-        }
-    }
-
-    proptest! {
-        /// external_sort equals a direct comparison sort for any run length.
-        #[test]
-        fn prop_matches_std_sort(n in 0usize..2_000, run_len in 1usize..500, seed in 0u64..1_000) {
-            let input = sort_records(n, seed);
-            let ours = external_sort(input.clone(), run_len);
-            let mut std_sorted = input;
-            std_sorted.sort_by(|a, b| a.key.cmp(&b.key).then(a.origin.cmp(&b.origin)));
-            prop_assert_eq!(ours, std_sorted);
-        }
-
-        /// Every record lands in a valid partition.
-        #[test]
-        fn prop_partition_in_range(n in 1usize..500, parts in 1usize..64, seed in 0u64..100) {
-            for r in sort_records(n, seed) {
-                prop_assert!(partition_of(&r, parts) < parts);
-            }
-        }
     }
 }

@@ -8,8 +8,8 @@
 //! * [`arch`] — architecture configurations (Active Disks, cluster, SMP)
 //!   and the pricing model.
 //! * [`tasks`] — the eight decision-support workload tasks.
-//! * [`datagen`] — dataset definitions (Table 2) and synthetic generators.
-//! * [`kernels`] — real implementations of the underlying algorithms.
+//! * [`datagen`] — dataset definitions (Table 2) and the Zipf sampler.
+//! * [`kernels`] — the planner's datacube-packing and sort run-count helpers.
 //! * Substrate models: [`simcore`], [`diskmodel`], [`netmodel`],
 //!   [`hostos`], [`diskos`].
 
