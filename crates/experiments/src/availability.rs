@@ -18,10 +18,13 @@
 //! up to its fault time, so the sweep runs through the checkpoint fork
 //! API: one shared prefix run pauses at each fault fraction in turn and
 //! [`howsim::ExecRun::fork_with_faults`] branches a continuation per
-//! scenario. Forked reports are field-identical to from-scratch runs
-//! (enforced by test against [`run_configs_scratch`]); the healthy
-//! prefix is simulated exactly once per (arch, task) point instead of
-//! once per scenario.
+//! scenario. Each scenario goes through [`howsim::cache::run_sim_with`]
+//! under the key a from-scratch run of it would have, so a cached
+//! scenario is served without a fork, and the prefix starts only when a
+//! point's first scenario misses. Forked reports are field-identical to
+//! from-scratch runs (enforced by test against [`run_configs_scratch`]);
+//! the healthy prefix is simulated at most once per (arch, task) point
+//! instead of once per scenario.
 
 use arch::Architecture;
 use howsim::faults::{FaultPlan, RecoveryPolicy};
@@ -29,7 +32,7 @@ use howsim::{Report, Simulation};
 use simcore::{Duration, SimTime};
 use tasks::{plan_task, TaskKind, TaskPlan};
 
-use crate::render_table;
+use crate::{architectures, render_table};
 
 /// The seed every availability run uses (defect placement draws on it).
 pub const SEED: u64 = 42;
@@ -51,15 +54,6 @@ pub struct Row {
     pub faults: u64,
 }
 
-/// The architectures the availability table compares.
-fn architectures(disks: usize) -> [(&'static str, Architecture); 3] {
-    [
-        ("Active", Architecture::active_disks(disks)),
-        ("Cluster", Architecture::cluster(disks)),
-        ("SMP", Architecture::smp(disks)),
-    ]
-}
-
 /// A fault scenario: a label plus the plan/policy it runs under, built
 /// from the healthy elapsed time of the point it applies to.
 struct Scenario {
@@ -73,6 +67,17 @@ struct Scenario {
     /// the fork boundary of the shared prefix run.
     frac: f64,
     plan: fn(f64) -> FaultPlan,
+}
+
+impl Scenario {
+    /// The scenario's from-scratch simulation on `arch`, with faults
+    /// timed from the point's healthy elapsed seconds `healthy`.
+    fn sim(&self, arch: &Architecture, healthy: f64) -> Simulation {
+        Simulation::new(arch.clone())
+            .with_seed(SEED)
+            .with_fault_plan((self.plan)(healthy))
+            .with_recovery(self.policy)
+    }
 }
 
 /// The fault scenarios, each a function of the healthy elapsed seconds.
@@ -190,32 +195,19 @@ pub fn run_configs(disks: usize, tasks: &[TaskKind]) -> Vec<Row> {
 
 /// [`run_configs`] plus the simulated-run accounting.
 ///
-/// One batched cache pass computes the healthy baselines (their elapsed
-/// times parameterize the fault schedules and are the `healthy` rows).
-/// Then, per point, one shared prefix run pauses at each fault fraction
-/// and forks a continuation per uncached scenario — the continuations
-/// are field-identical to from-scratch faulted runs and are inserted
-/// into the cache under the same keys [`run_configs_scratch`] would use.
+/// The healthy baselines come first (their elapsed times parameterize
+/// the fault schedules and are the `healthy` rows). Then, per point, one
+/// shared prefix run pauses at each fault fraction and forks a
+/// continuation per uncached scenario; each continuation is
+/// field-identical to a from-scratch faulted run and is cached under the
+/// same key [`run_configs_scratch`] would use.
 pub fn run_configs_counting(disks: usize, tasks: &[TaskKind]) -> (Vec<Row>, RunCounts) {
-    let archs = architectures(disks);
-    let points: Vec<(&'static str, &Architecture, TaskKind)> = tasks
-        .iter()
-        .flat_map(|&task| archs.iter().map(move |(name, arch)| (*name, arch, task)))
-        .collect();
-    let base: Vec<(Simulation, TaskPlan)> = points
-        .iter()
-        .map(|(_, arch, task)| {
-            let plan = plan_task(*task, arch);
-            (Simulation::new((*arch).clone()).with_seed(SEED), plan)
-        })
-        .collect();
-    let healthy = howsim::cache::run_sims(&base);
-
+    let (points, healthy) = healthy_points(disks, tasks);
     let scens = scenarios();
     let indices: Vec<usize> = (0..points.len()).collect();
     let per_point: Vec<(Vec<Row>, RunCounts)> = howsim::sweep::map(&indices, |&ix| {
-        let (name, arch, task) = points[ix];
-        run_point(name, arch, task, &healthy[ix], &scens)
+        let (arch, task) = &points[ix];
+        run_point(arch, *task, &healthy[ix], &scens)
     });
 
     let mut rows = Vec::with_capacity(points.len() * (1 + scens.len()));
@@ -228,55 +220,72 @@ pub fn run_configs_counting(disks: usize, tasks: &[TaskKind]) -> (Vec<Row>, RunC
     (rows, counts)
 }
 
+/// The sweep's (arch, task) points, task-major, and each point's healthy
+/// report, served through the result cache.
+fn healthy_points(
+    disks: usize,
+    tasks: &[TaskKind],
+) -> (Vec<(Architecture, TaskKind)>, Vec<Report>) {
+    let points: Vec<(Architecture, TaskKind)> = tasks
+        .iter()
+        .flat_map(|&task| architectures(disks).map(|arch| (arch, task)))
+        .collect();
+    let healthy = howsim::sweep::map(&points, |(arch, task)| {
+        let sim = Simulation::new(arch.clone()).with_seed(SEED);
+        howsim::cache::run_sim(&sim, &plan_task(*task, arch))
+    });
+    (points, healthy)
+}
+
 /// One (arch, task) point of the fork-path sweep: the healthy row plus
 /// every fault scenario, sharing a single healthy prefix run.
 fn run_point(
-    name: &'static str,
     arch: &Architecture,
     task: TaskKind,
     healthy: &Report,
     scens: &[Scenario],
 ) -> (Vec<Row>, RunCounts) {
+    debug_assert!(
+        scens.windows(2).all(|w| w[0].frac <= w[1].frac),
+        "sorted by frac"
+    );
     let plan = plan_task(task, arch);
     let h_secs = healthy.elapsed().as_secs_f64();
-    let sims: Vec<Simulation> = scens
+    let mut prefix = None;
+    let mut counts = RunCounts::default();
+    let reports: Vec<Report> = scens
         .iter()
         .map(|s| {
-            Simulation::new(arch.clone())
-                .with_seed(SEED)
-                .with_fault_plan((s.plan)(h_secs))
-                .with_recovery(s.policy)
+            howsim::cache::run_sim_with(&s.sim(arch, h_secs), &plan, || {
+                // One shared prefix run, started on the point's first
+                // miss and paused at each fault fraction in turn
+                // (scenarios are sorted by fraction). Each fork swaps in
+                // its scenario's fault plan and recovery policy; the
+                // prefix itself never consumes fault state, so the swap
+                // is exact.
+                let prefix = prefix.get_or_insert_with(|| {
+                    counts.prefix_runs = 1;
+                    Simulation::new(arch.clone()).with_seed(SEED).start(&plan)
+                });
+                prefix.run_until(SimTime::ZERO + Duration::from_secs_f64(h_secs * s.frac));
+                counts.forked_runs += 1;
+                prefix.fork_with_faults((s.plan)(h_secs), s.policy).finish()
+            })
         })
         .collect();
-    let mut reports: Vec<Option<Report>> = sims
-        .iter()
-        .map(|sim| howsim::cache::probe_sim(sim, &plan))
-        .collect();
+    (point_rows(arch, task, h_secs, scens, &reports), counts)
+}
 
-    let mut counts = RunCounts::default();
-    if reports.iter().any(Option::is_none) {
-        // One shared prefix run, paused at each fault fraction in turn
-        // (scenarios are sorted by fraction). Each fork swaps in its
-        // scenario's fault plan and recovery policy; the prefix itself
-        // never consumes fault state, so the swap is exact.
-        let healthy_sim = Simulation::new(arch.clone()).with_seed(SEED);
-        let mut prefix = healthy_sim.start(&plan);
-        counts.prefix_runs = 1;
-        for (six, s) in scens.iter().enumerate() {
-            if reports[six].is_some() {
-                continue;
-            }
-            debug_assert!(six == 0 || scens[six - 1].frac <= s.frac, "sorted by frac");
-            let at = SimTime::ZERO + Duration::from_secs_f64(h_secs * s.frac);
-            prefix.run_until(at);
-            let fork = prefix.fork_with_faults((s.plan)(h_secs), s.policy);
-            let report = fork.finish();
-            howsim::cache::insert_sim(&sims[six], &plan, &report);
-            reports[six] = Some(report);
-            counts.forked_runs += 1;
-        }
-    }
-
+/// One point's rows: the healthy row, then one per scenario from its
+/// report (`reports` in scenario order).
+fn point_rows(
+    arch: &Architecture,
+    task: TaskKind,
+    h_secs: f64,
+    scens: &[Scenario],
+    reports: &[Report],
+) -> Vec<Row> {
+    let name = arch.short_name();
     let mut rows = Vec::with_capacity(1 + scens.len());
     rows.push(Row {
         task: task.name(),
@@ -286,8 +295,7 @@ fn run_point(
         slowdown: 1.0,
         faults: 0,
     });
-    for (s, r) in scens.iter().zip(&reports) {
-        let r = r.as_ref().expect("every scenario resolved");
+    for (s, r) in scens.iter().zip(reports) {
         debug_assert_eq!(r.aborted, s.rerun, "{name}/{}/{}", task.name(), s.label);
         let secs = r.elapsed().as_secs_f64() + if s.rerun { h_secs } else { 0.0 };
         rows.push(Row {
@@ -299,74 +307,36 @@ fn run_point(
             faults: r.faults_injected,
         });
     }
-    (rows, counts)
+    rows
 }
 
 /// The pre-fork reference implementation: every fault scenario simulated
-/// from t=0 through the batched result cache. Kept as the differential
-/// baseline (fork-path rows must be field-identical) and as the
-/// benchmark's scratch side.
+/// from t=0 through the result cache. Kept as the differential baseline
+/// (fork-path rows must be field-identical) and as the benchmark's
+/// scratch side.
 pub fn run_configs_scratch(disks: usize, tasks: &[TaskKind]) -> Vec<Row> {
-    let archs = architectures(disks);
-    let points: Vec<(&'static str, &Architecture, TaskKind)> = tasks
-        .iter()
-        .flat_map(|&task| archs.iter().map(move |(name, arch)| (*name, arch, task)))
-        .collect();
-    let base: Vec<(Simulation, TaskPlan)> = points
-        .iter()
-        .map(|(_, arch, task)| {
-            let plan = plan_task(*task, arch);
-            (Simulation::new((*arch).clone()).with_seed(SEED), plan)
-        })
-        .collect();
-    let healthy = howsim::cache::run_sims(&base);
-
+    let (points, healthy) = healthy_points(disks, tasks);
     let scens = scenarios();
     let faulted: Vec<(Simulation, TaskPlan)> = points
         .iter()
         .zip(&healthy)
-        .flat_map(|((_, arch, task), h)| {
+        .flat_map(|((arch, task), h)| {
             let plan = plan_task(*task, arch);
             let h_secs = h.elapsed().as_secs_f64();
-            scens.iter().map(move |s| {
-                (
-                    Simulation::new((*arch).clone())
-                        .with_seed(SEED)
-                        .with_fault_plan((s.plan)(h_secs))
-                        .with_recovery(s.policy),
-                    plan.clone(),
-                )
-            })
+            scens
+                .iter()
+                .map(move |s| (s.sim(arch, h_secs), plan.clone()))
         })
         .collect();
-    let reports = howsim::cache::run_sims(&faulted);
-
-    let mut rows = Vec::with_capacity(points.len() * (1 + scens.len()));
-    for (ix, ((name, _, task), h)) in points.iter().zip(&healthy).enumerate() {
-        let h_secs = h.elapsed().as_secs_f64();
-        rows.push(Row {
-            task: task.name(),
-            arch: name,
-            scenario: "healthy",
-            seconds: h_secs,
-            slowdown: 1.0,
-            faults: 0,
-        });
-        for (six, s) in scens.iter().enumerate() {
-            let r = &reports[ix * scens.len() + six];
-            debug_assert_eq!(r.aborted, s.rerun, "{name}/{}/{}", task.name(), s.label);
-            let secs = r.elapsed().as_secs_f64() + if s.rerun { h_secs } else { 0.0 };
-            rows.push(Row {
-                task: task.name(),
-                arch: name,
-                scenario: s.label,
-                seconds: secs,
-                slowdown: secs / h_secs,
-                faults: r.faults_injected,
-            });
-        }
-    }
-    rows
+    let reports = howsim::sweep::map(&faulted, |(sim, plan)| howsim::cache::run_sim(sim, plan));
+    points
+        .iter()
+        .zip(&healthy)
+        .zip(reports.chunks(scens.len()))
+        .flat_map(|(((arch, task), h), reports)| {
+            point_rows(arch, *task, h.elapsed().as_secs_f64(), &scens, reports)
+        })
+        .collect()
 }
 
 /// Runs the default availability table (16 disks; select, sort, join).

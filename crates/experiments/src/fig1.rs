@@ -5,7 +5,7 @@
 use arch::{Architecture, PAPER_SIZES};
 use tasks::TaskKind;
 
-use crate::{cell, render_table};
+use crate::{architectures, cell, render_table};
 
 /// One cell of Figure 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,11 +29,11 @@ pub fn run() -> Vec<Cell> {
 
 /// Runs Figure 1 for a subset of sizes (used by tests and quick modes).
 ///
-/// The whole `sizes × tasks × architectures` grid goes through
-/// [`howsim::cache::run_tasks`] as one batch: overlapping points (shared
-/// with `manifests` and other sweeps) are deduplicated before dispatch
-/// and the unique simulations run in parallel, with the cells coming
-/// back in grid order so the output is identical to the serial loop.
+/// The whole `sizes × tasks × architectures` grid maps
+/// [`howsim::cache::run`] through [`howsim::sweep::map`]: points shared
+/// with `manifests` and other sweeps are served from the result cache,
+/// the rest simulate in parallel, and the cells come back in grid order,
+/// so the output is identical to the serial loop.
 pub fn run_sizes(sizes: &[usize]) -> Vec<Cell> {
     let points: Vec<(usize, TaskKind)> = sizes
         .iter()
@@ -41,17 +41,9 @@ pub fn run_sizes(sizes: &[usize]) -> Vec<Cell> {
         .collect();
     let sims: Vec<(Architecture, TaskKind)> = points
         .iter()
-        .flat_map(|&(disks, task)| {
-            [
-                Architecture::active_disks(disks),
-                Architecture::cluster(disks),
-                Architecture::smp(disks),
-            ]
-            .into_iter()
-            .map(move |arch| (arch, task))
-        })
+        .flat_map(|&(disks, task)| architectures(disks).map(|arch| (arch, task)))
         .collect();
-    let reports = howsim::cache::run_tasks(&sims);
+    let reports = howsim::sweep::map(&sims, |(arch, task)| howsim::cache::run(arch, *task));
     points
         .iter()
         .zip(reports.chunks(3))

@@ -14,7 +14,7 @@
 use arch::Architecture;
 use tasks::{plan_task_on, TaskKind};
 
-use crate::render_table;
+use crate::{architectures, render_table};
 
 /// One row: a dataset scale on one architecture.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,14 +35,10 @@ pub struct Row {
 /// [`howsim::sweep`].
 pub fn run_scales(disks: usize, scales: &[u64]) -> Vec<Row> {
     let base = TaskKind::DataMine.dataset();
-    let points: Vec<(Architecture, u64)> = [
-        Architecture::active_disks(disks),
-        Architecture::cluster(disks),
-        Architecture::smp(disks),
-    ]
-    .into_iter()
-    .flat_map(|arch| scales.iter().map(move |&scale| (arch.clone(), scale)))
-    .collect();
+    let points: Vec<(Architecture, u64)> = architectures(disks)
+        .into_iter()
+        .flat_map(|arch| scales.iter().map(move |&scale| (arch.clone(), scale)))
+        .collect();
     howsim::sweep::map(&points, |(arch, scale)| {
         let dataset = base.scaled_up(*scale);
         let plan = plan_task_on(TaskKind::DataMine, arch, &dataset);

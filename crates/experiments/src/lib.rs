@@ -44,6 +44,19 @@ pub mod table2;
 /// The configuration sizes shared by the figure experiments.
 pub use arch::PAPER_SIZES;
 
+use arch::Architecture;
+
+/// The three architectures every grid compares, at `disks` nodes, in
+/// output order (Active Disks, cluster, SMP); label each with
+/// [`Architecture::short_name`].
+pub fn architectures(disks: usize) -> [Architecture; 3] {
+    [
+        Architecture::active_disks(disks),
+        Architecture::cluster(disks),
+        Architecture::smp(disks),
+    ]
+}
+
 /// Formats a ratio for table cells.
 pub fn cell(x: f64) -> String {
     format!("{x:.2}")

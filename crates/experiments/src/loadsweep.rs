@@ -21,15 +21,17 @@
 //! fork is extended with its measured arrivals
 //! ([`howsim::WarmStart::extend`]) — the continuation's report is
 //! field-identical to re-simulating warmup + measurement from scratch
-//! (enforced by test). Only the measured slice of each report feeds the
-//! table.
+//! (enforced by test). Each point goes through
+//! [`howsim::cache::run_warm_with`], so a cached point is served without
+//! a fork, and the warmup starts only when a pair's first point misses.
+//! Only the measured slice of each report feeds the table.
 
 use arch::Architecture;
 use howsim::{AdmissionPolicy, DeadlinePolicy, LoadReport, QueryStatus, Simulation, WorkloadSpec};
 use simcore::Duration;
-use tasks::{plan_task, TaskKind, TaskPlan};
+use tasks::{plan_task, TaskKind};
 
-use crate::render_table;
+use crate::{architectures, render_table};
 
 /// The seed every loaded run uses (arrivals and backoff jitter draw on it).
 pub const SEED: u64 = 42;
@@ -118,15 +120,6 @@ pub struct Summary {
     pub max_sustainable_x: f64,
 }
 
-/// The architectures the load sweep compares.
-fn architectures(disks: usize) -> [(&'static str, Architecture); 3] {
-    [
-        ("Active", Architecture::active_disks(disks)),
-        ("Cluster", Architecture::cluster(disks)),
-        ("SMP", Architecture::smp(disks)),
-    ]
-}
-
 /// Runs the load sweep over `mixes` and offered-load multiples `rates`
 /// for `disks`-node configurations of every architecture, `queries`
 /// arrivals per point, forking each (architecture, mix) pair's shared
@@ -170,33 +163,25 @@ fn run_configs_inner(
         .iter()
         .map(|(_, spec)| WorkloadSpec::parse_mix(spec).expect("mix spec"))
         .collect();
-    let solo_points: Vec<(&'static str, &Architecture, TaskKind)> = archs
+    let mut tasks: Vec<TaskKind> = Vec::new();
+    for &(t, _) in parsed.iter().flatten() {
+        if !tasks.contains(&t) {
+            tasks.push(t);
+        }
+    }
+    let solo_points: Vec<(&Architecture, TaskKind)> = archs
         .iter()
-        .flat_map(|(name, arch)| {
-            let mut tasks: Vec<TaskKind> = Vec::new();
-            for &(t, _) in parsed.iter().flatten() {
-                if !tasks.contains(&t) {
-                    tasks.push(t);
-                }
-            }
-            tasks.into_iter().map(move |t| (*name, arch, t))
-        })
+        .flat_map(|arch| tasks.iter().map(move |&t| (arch, t)))
         .collect();
-    let solo_sims: Vec<(Simulation, TaskPlan)> = solo_points
-        .iter()
-        .map(|(_, arch, task)| {
-            (
-                Simulation::new((*arch).clone()).with_seed(SEED),
-                plan_task(*task, arch),
-            )
-        })
-        .collect();
-    let solo = howsim::cache::run_sims(&solo_sims);
+    let solo = howsim::sweep::map(&solo_points, |&(arch, task)| {
+        let sim = Simulation::new(arch.clone()).with_seed(SEED);
+        howsim::cache::run_sim(&sim, &plan_task(task, arch))
+    });
     let solo_secs = |arch: &str, task: TaskKind| -> f64 {
         solo_points
             .iter()
             .zip(&solo)
-            .find(|((name, _, t), _)| *name == arch && *t == task)
+            .find(|((a, t), _)| a.short_name() == arch && *t == task)
             .map(|(_, r)| r.elapsed().as_secs_f64())
             .expect("solo baseline present")
     };
@@ -217,7 +202,8 @@ fn run_configs_inner(
         points: Vec<Point>,
     }
     let mut groups = Vec::new();
-    for (name, arch) in &archs {
+    for arch in &archs {
+        let name = arch.short_name();
         for ((mix_name, _), mix) in mixes.iter().zip(&parsed) {
             let weight: u32 = mix.iter().map(|&(_, w)| w).sum();
             let mean_secs: f64 = mix
@@ -266,50 +252,35 @@ fn run_configs_inner(
     let group_ix: Vec<usize> = (0..groups.len()).collect();
     let per_group: Vec<Vec<LoadReport>> = howsim::sweep::map(&group_ix, |&gi| {
         let g = &groups[gi];
-        let mut reports: Vec<Option<LoadReport>> = g
-            .points
+        let warm = || {
+            let mut run = g.sim.start_workload(&g.warmup, ADMISSION, g.deadline);
+            run.run_to_idle();
+            run
+        };
+        let mut prefix = None;
+        g.points
             .iter()
             .map(|p| {
-                howsim::cache::probe_warm_workload(
-                    &g.sim, &g.warmup, &p.spec, ADMISSION, g.deadline,
+                howsim::cache::run_warm_with(
+                    &g.sim,
+                    &g.warmup,
+                    &p.spec,
+                    ADMISSION,
+                    g.deadline,
+                    || {
+                        // Forking simulates the shared warmup ramp once, on
+                        // the group's first miss, and forks it per uncached
+                        // point; the scratch path re-simulates it per point.
+                        let mut run = if fork {
+                            prefix.get_or_insert_with(warm).fork()
+                        } else {
+                            warm()
+                        };
+                        run.extend(&p.spec);
+                        run.finish()
+                    },
                 )
             })
-            .collect();
-        if fork && reports.iter().any(Option::is_none) {
-            // Simulate the shared warmup ramp once, then fork it per
-            // uncached point.
-            let mut prefix = g.sim.start_workload(&g.warmup, ADMISSION, g.deadline);
-            prefix.run_to_idle();
-            for (i, p) in g.points.iter().enumerate() {
-                if reports[i].is_some() {
-                    continue;
-                }
-                let mut cont = prefix.fork();
-                cont.extend(&p.spec);
-                let r = cont.finish();
-                howsim::cache::insert_warm_workload(
-                    &g.sim, &g.warmup, &p.spec, ADMISSION, g.deadline, &r,
-                );
-                reports[i] = Some(r);
-            }
-        } else if !fork {
-            for (i, p) in g.points.iter().enumerate() {
-                if reports[i].is_some() {
-                    continue;
-                }
-                let mut run = g.sim.start_workload(&g.warmup, ADMISSION, g.deadline);
-                run.run_to_idle();
-                run.extend(&p.spec);
-                let r = run.finish();
-                howsim::cache::insert_warm_workload(
-                    &g.sim, &g.warmup, &p.spec, ADMISSION, g.deadline, &r,
-                );
-                reports[i] = Some(r);
-            }
-        }
-        reports
-            .into_iter()
-            .map(|r| r.expect("every point resolved"))
             .collect()
     });
 
@@ -323,28 +294,20 @@ fn run_configs_inner(
                 .map(|(p, r)| measured_row(p.arch, p.mix, p.load.clone(), p.offered_qps, r))
         })
         .collect();
-    let meta: Vec<(&'static str, &'static str, f64, String)> = groups
-        .iter()
-        .flat_map(|g| {
-            g.points
-                .iter()
-                .map(|p| (p.arch, p.mix, p.offered_qps, p.load.clone()))
-        })
-        .collect();
-
     let mut summaries = Vec::new();
-    for (name, _) in &archs {
+    for arch in &archs {
+        let name = arch.short_name();
         for (mix_name, _) in mixes {
             let mut best = (0.0, 0.0);
-            for ((arch, mix, offered_qps, load), row) in meta.iter().zip(&rows) {
-                if arch != name || mix != mix_name || *offered_qps <= 0.0 {
+            for row in &rows {
+                if row.arch != name || row.mix != *mix_name || row.offered_qps <= 0.0 {
                     continue;
                 }
-                let x: f64 = load.trim_end_matches('x').parse().unwrap_or(0.0);
+                let x: f64 = row.load.trim_end_matches('x').parse().unwrap_or(0.0);
                 let total = row.completed + row.shed + row.timed_out + row.aborted;
                 let done = row.completed as f64 / total.max(1) as f64;
-                if done >= SUSTAINED_FRACTION && *offered_qps > best.0 {
-                    best = (*offered_qps, x);
+                if done >= SUSTAINED_FRACTION && row.offered_qps > best.0 {
+                    best = (row.offered_qps, x);
                 }
             }
             summaries.push(Summary {

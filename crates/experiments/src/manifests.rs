@@ -2,26 +2,20 @@
 //! collects one [`RunManifest`] per run into a single deterministic
 //! `howsim-sweep/v1` JSON document.
 //!
-//! The grid fans out through [`howsim::cache::run_tasks`], so runs are
-//! deduplicated against the result cache (the grid overlaps Figure 1
-//! point-for-point), execute in parallel, and aggregate in configuration
-//! order — the output is byte-identical for any worker count.
+//! The grid maps [`howsim::cache::run`] through [`howsim::sweep::map`],
+//! so runs are served from the result cache where they can be (the grid
+//! overlaps Figure 1 point-for-point), execute in parallel, and aggregate
+//! in configuration order — the output is byte-identical for any worker
+//! count.
 
 use arch::Architecture;
 use howsim::manifest::{git_revision, RunManifest};
 use tasks::TaskKind;
 
+use crate::architectures;
+
 /// Sweep manifest schema identifier.
 pub const SCHEMA: &str = "howsim-sweep/v1";
-
-/// The architecture constructors swept by the grid, in output order.
-fn architectures(disks: usize) -> [Architecture; 3] {
-    [
-        Architecture::active_disks(disks),
-        Architecture::cluster(disks),
-        Architecture::smp(disks),
-    ]
-}
 
 /// Runs `tasks` × all three architectures × `sizes`, returning one
 /// manifest per run in deterministic grid order (task-major, then
@@ -35,7 +29,7 @@ pub fn run_grid(tasks: &[TaskKind], sizes: &[usize]) -> Vec<RunManifest> {
             }
         }
     }
-    let reports = howsim::cache::run_tasks(&configs);
+    let reports = howsim::sweep::map(&configs, |(arch, task)| howsim::cache::run(arch, *task));
     configs
         .iter()
         .zip(&reports)

@@ -158,10 +158,7 @@ fn usage() -> String {
 }
 
 fn parse_task(name: &str) -> Result<TaskKind, String> {
-    TaskKind::ALL
-        .into_iter()
-        .find(|t| t.name() == name)
-        .ok_or_else(|| format!("unknown task `{name}`"))
+    TaskKind::parse(name).ok_or_else(|| format!("unknown task `{name}`"))
 }
 
 fn parse(args: &[String]) -> Result<Options, String> {

@@ -4,30 +4,36 @@
 //! fault plan, recovery policy)`, so its
 //! [`Report`] can be memoized; a loaded run's [`LoadReport`] likewise,
 //! with the workload, admission, and deadline specs in place of the
-//! plan. The cache key is that tuple's canonical representation,
-//! content-addressed by FNV-1a ([`simcore::state::fnv1a64`]); the full
-//! key material is stored alongside each entry and verified on lookup,
-//! so a hash collision can never return the wrong report.
+//! plan. The cache key is that tuple's canonical representation (the
+//! `*_key_material` functions). Each entry point serves the entry under
+//! its key, or computes the value once and records it there: [`run`],
+//! [`run_plan`], [`run_sim`] and [`run_workload`] compute by simulating
+//! from scratch, while [`run_sim_with`] and [`run_warm_with`] take the
+//! computation from the caller, so a fork path can pass the continuation
+//! of a shared prefix and still leave hit, miss and record to the cache.
 //!
 //! Two tiers, one implementation for both stored types:
 //!
 //! * **In-memory** (always available, on by default): a process-wide
-//!   map, so overlapping points across figure sweeps in one
-//!   `experiments` invocation simulate once.
+//!   map from key material to value, so overlapping points across figure
+//!   sweeps in one `experiments` invocation simulate once.
 //! * **On-disk** (opt-in via [`set_disk_dir`], `--cache` in the
 //!   binaries): `<hash>.report` and `<hash>.load` entries under
-//!   `results/.simcache/` persist across invocations. Each file is the
-//!   shared armor of [`simcore::state`] around an exact-integer body,
-//!   published atomically; any unreadable, truncated, bit-flipped, or
-//!   colliding entry is treated as a miss. Wipe the cache by deleting
-//!   the directory.
+//!   `results/.simcache/`, named by the key's FNV-1a hash
+//!   ([`simcore::state::fnv1a64`]), persist across invocations. Each file
+//!   is the shared armor of [`simcore::state`] around an exact-integer
+//!   body, stores the full key material and is verified against it on
+//!   lookup, and is published atomically; any unreadable, truncated,
+//!   bit-flipped, or colliding entry is treated as a miss. Wipe the cache
+//!   by deleting the directory.
 //!
 //! Because cached reports are bit-identical to fresh ones (exact integer
-//! serialization, no floats) and [`run_sims`] dispatches misses through
-//! the deterministic [`crate::sweep`] engine, cache-on and cache-off
-//! outputs are byte-identical for any worker count. The event-queue
-//! backend is deliberately *not* part of the key: every backend produces
-//! identical reports (enforced by test), so they share entries.
+//! serialization, no floats), cache-on and cache-off outputs are
+//! byte-identical; callers fan points out through the deterministic
+//! [`crate::sweep`] engine, so that holds for any worker count. The
+//! event-queue backend is deliberately *not* part of the key: every
+//! backend produces identical reports (enforced by test), so they share
+//! entries.
 
 use std::collections::HashMap;
 use std::fs;
@@ -43,7 +49,6 @@ use crate::exec::Simulation;
 use crate::faults::{FaultPlan, RecoveryPolicy};
 use crate::mqexec::{LoadReport, QueryOutcome, QueryPhase, QueryStatus};
 use crate::report::{PhaseReport, Report};
-use crate::sweep;
 use crate::workload::{AdmissionPolicy, DeadlinePolicy, WorkloadSpec};
 
 /// On-disk entry schema identifier, bumped on breaking layout changes
@@ -59,8 +64,7 @@ pub const LOAD_SCHEMA: &str = "howsim-loadcache/v1";
 /// Lifetime hit/miss counters for the process-wide cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups served without simulating (including points deduplicated
-    /// within one [`run_sims`] batch).
+    /// Lookups served without simulating.
     pub hits: u64,
     /// Lookups that had to simulate.
     pub misses: u64,
@@ -68,9 +72,8 @@ pub struct CacheStats {
     pub disk_hits: u64,
 }
 
-/// Hash → entries; a `Vec` per hash so verified key material, not the
-/// hash, decides equality.
-type Tier<T> = HashMap<u64, Vec<(String, T)>>;
+/// Key material → value.
+type Tier<T> = HashMap<String, T>;
 
 struct CacheState {
     enabled: bool,
@@ -202,9 +205,7 @@ impl Entry for LoadReport {
         let outcomes = r.counted("queries", |r| {
             let query = r.num("query")?;
             let name = r.field("qtask")?;
-            let task = *TaskKind::ALL
-                .iter()
-                .find(|k| k.name() == name)
+            let task = TaskKind::parse(name)
                 .ok_or_else(|| StateError::new(format!("qtask: unknown task {name:?}")))?;
             let name = r.field("status")?;
             let status = QueryStatus::parse(name)
@@ -359,14 +360,9 @@ fn encode<T: Entry>(value: &T, key: &str) -> String {
 
 /// Looks `key` up in both tiers, counting one hit or one miss.
 fn probe<T: Entry>(key: &str) -> Option<T> {
-    let hash = fnv1a64(key.as_bytes());
     let disk = {
         let mut st = lock();
-        if let Some(found) = T::tier(&mut st)
-            .get(&hash)
-            .and_then(|entries| entries.iter().find(|(k, _)| k == key))
-            .map(|(_, v)| v.clone())
-        {
+        if let Some(found) = T::tier(&mut st).get(key).cloned() {
             st.stats.hits += 1;
             return Some(found);
         }
@@ -382,7 +378,7 @@ fn probe<T: Entry>(key: &str) -> Option<T> {
         Some(value) => {
             st.stats.hits += 1;
             st.stats.disk_hits += 1;
-            remember(T::tier(&mut st), hash, key, &value);
+            T::tier(&mut st).insert(key.to_string(), value.clone());
             Some(value)
         }
         None => {
@@ -392,11 +388,11 @@ fn probe<T: Entry>(key: &str) -> Option<T> {
     }
 }
 
-/// Records a freshly simulated value under `key` in both tiers.
+/// Records a freshly computed value under `key` in both tiers.
 fn insert<T: Entry>(key: &str, value: &T) {
     let disk = {
         let mut st = lock();
-        remember(T::tier(&mut st), fnv1a64(key.as_bytes()), key, value);
+        T::tier(&mut st).insert(key.to_string(), value.clone());
         st.disk_dir.clone()
     };
     if let Some(dir) = disk {
@@ -406,25 +402,17 @@ fn insert<T: Entry>(key: &str, value: &T) {
     }
 }
 
-/// Adds `value` to the memory tier unless `key` is already there.
-fn remember<T: Entry>(tier: &mut Tier<T>, hash: u64, key: &str, value: &T) {
-    let entries = tier.entry(hash).or_default();
-    if !entries.iter().any(|(k, _)| k == key) {
-        entries.push((key.to_string(), value.clone()));
-    }
-}
-
-/// Serves `key` from the cache, or computes it with `run` and records
-/// the result; `run` alone when the cache is off.
-fn memoized<T: Entry>(key: impl FnOnce() -> String, run: impl FnOnce() -> T) -> T {
+/// Serves `key` from the cache, or calls `compute` once and records the
+/// result; `compute` alone when the cache is off.
+fn memoized<T: Entry>(key: impl FnOnce() -> String, compute: impl FnOnce() -> T) -> T {
     if !enabled() {
-        return run();
+        return compute();
     }
     let key = key();
     if let Some(value) = probe(&key) {
         return value;
     }
-    let value = run();
+    let value = compute();
     insert(&key, &value);
     value
 }
@@ -440,7 +428,7 @@ pub fn run_plan(arch: &Architecture, plan: &TaskPlan) -> Report {
 }
 
 /// The cache key for a configured [`Simulation`] and plan.
-fn sim_key(sim: &Simulation, plan: &TaskPlan) -> String {
+pub(crate) fn sim_key(sim: &Simulation, plan: &TaskPlan) -> String {
     key_material(
         sim.architecture(),
         plan,
@@ -450,94 +438,18 @@ fn sim_key(sim: &Simulation, plan: &TaskPlan) -> String {
     )
 }
 
-/// Looks up one configured simulation's report without simulating on a
-/// miss. The availability fork path uses this to serve cached fault
-/// scenarios before paying for a shared prefix re-run; pairing it with
-/// [`insert_sim`] keeps cache-on and cache-off outputs byte-identical.
-pub fn probe_sim(sim: &Simulation, plan: &TaskPlan) -> Option<Report> {
-    if !enabled() {
-        return None;
-    }
-    probe(&sim_key(sim, plan))
-}
-
-/// Records an externally computed report (e.g. a forked continuation's)
-/// under the same key [`run_sim`] would use.
-pub fn insert_sim(sim: &Simulation, plan: &TaskPlan, report: &Report) {
-    if !enabled() {
-        return;
-    }
-    insert(&sim_key(sim, plan), report);
-}
-
 /// Runs `plan` on a configured [`Simulation`] through the cache (the
 /// seed, fault plan, and recovery policy all participate in the key).
 pub fn run_sim(sim: &Simulation, plan: &TaskPlan) -> Report {
-    memoized(|| sim_key(sim, plan), || sim.run_plan(plan))
+    run_sim_with(sim, plan, || sim.run_plan(plan))
 }
 
-/// Batch variant of [`run`]: plans every point and delegates to
-/// [`run_sims`].
-pub fn run_tasks(points: &[(Architecture, TaskKind)]) -> Vec<Report> {
-    let sims: Vec<(Simulation, TaskPlan)> = points
-        .iter()
-        .map(|(arch, task)| (Simulation::new(arch.clone()), plan_task(*task, arch)))
-        .collect();
-    run_sims(&sims)
-}
-
-/// Runs a batch of fully configured simulations (seeds, fault plans and
-/// all) through the cache, deduplicating before
-/// dispatch: cached points are served immediately, duplicate uncached
-/// points simulate once (the copies count as hits), and the unique
-/// misses go through [`sweep::map`] in parallel. Results come back in
-/// point order, so the output is byte-identical to mapping
-/// [`Simulation::run_plan`] over the points directly.
-pub fn run_sims(points: &[(Simulation, TaskPlan)]) -> Vec<Report> {
-    if !enabled() {
-        return sweep::map(points, |(sim, plan)| sim.run_plan(plan));
-    }
-    enum Slot {
-        Ready(Box<Report>),
-        Fresh(usize),
-    }
-    let keys: Vec<String> = points
-        .iter()
-        .map(|(sim, plan)| sim_key(sim, plan))
-        .collect();
-    let mut first_job: HashMap<&str, usize> = HashMap::new();
-    let mut jobs: Vec<usize> = Vec::new();
-    let mut slots: Vec<Slot> = Vec::with_capacity(points.len());
-    for (ix, key) in keys.iter().enumerate() {
-        if let Some(report) = probe(key) {
-            slots.push(Slot::Ready(Box::new(report)));
-        } else if let Some(&job) = first_job.get(key.as_str()) {
-            // Deduplicated within this batch: served without simulating.
-            let mut st = lock();
-            st.stats.hits += 1;
-            st.stats.misses -= 1; // probe above counted it as a miss
-            drop(st);
-            slots.push(Slot::Fresh(job));
-        } else {
-            first_job.insert(key, jobs.len());
-            slots.push(Slot::Fresh(jobs.len()));
-            jobs.push(ix);
-        }
-    }
-    let fresh: Vec<Report> = sweep::map(&jobs, |&ix| {
-        let (sim, plan) = &points[ix];
-        sim.run_plan(plan)
-    });
-    for (&ix, report) in jobs.iter().zip(&fresh) {
-        insert(&keys[ix], report);
-    }
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Slot::Ready(report) => *report,
-            Slot::Fresh(job) => fresh[job].clone(),
-        })
-        .collect()
+/// [`run_sim`] with the report computed by `compute` on a miss: the
+/// availability fork path passes the continuation of a shared healthy
+/// prefix. `compute` must return the report `sim.run_plan(plan)` would,
+/// since the entry is recorded under [`run_sim`]'s key.
+pub fn run_sim_with(sim: &Simulation, plan: &TaskPlan, compute: impl FnOnce() -> Report) -> Report {
+    memoized(|| sim_key(sim, plan), compute)
 }
 
 /// The full cache key for one loaded run: the single-query key inputs
@@ -581,42 +493,25 @@ pub fn warm_key_material(
     )
 }
 
-/// Looks up a cached warm-start composite report (see
-/// [`warm_key_material`]) without simulating on a miss. The warm-start
-/// load sweep uses this to serve hits before forking misses off a shared
-/// warm prefix; pairing it with [`insert_warm_workload`] keeps cache-on
-/// and cache-off outputs byte-identical.
-pub fn probe_warm_workload(
+/// Runs a warm-start composite (a `warmup` segment run to idle, then
+/// `measured` grafted on) through the cache, under
+/// [`warm_key_material`]. On a miss `compute` supplies the report: the
+/// load sweep forks it off a warm prefix shared by every point of one
+/// (architecture, mix) pair, or re-simulates the prefix per point.
+/// Either way it must be the report of simulating the composite from
+/// t=0, since every caller shares the entry.
+pub fn run_warm_with(
     sim: &Simulation,
     warmup: &WorkloadSpec,
     measured: &WorkloadSpec,
     admission: AdmissionPolicy,
     deadline: DeadlinePolicy,
-) -> Option<LoadReport> {
-    if !enabled() {
-        return None;
-    }
-    probe(&warm_key_material(
-        sim, warmup, measured, admission, deadline,
-    ))
-}
-
-/// Records a warm-start composite report under its composite key.
-pub fn insert_warm_workload(
-    sim: &Simulation,
-    warmup: &WorkloadSpec,
-    measured: &WorkloadSpec,
-    admission: AdmissionPolicy,
-    deadline: DeadlinePolicy,
-    report: &LoadReport,
-) {
-    if !enabled() {
-        return;
-    }
-    insert(
-        &warm_key_material(sim, warmup, measured, admission, deadline),
-        report,
-    );
+    compute: impl FnOnce() -> LoadReport,
+) -> LoadReport {
+    memoized(
+        || warm_key_material(sim, warmup, measured, admission, deadline),
+        compute,
+    )
 }
 
 /// Runs a multi-query workload through the cache. The key covers the
@@ -748,24 +643,99 @@ mod tests {
     }
 
     #[test]
-    fn batch_dedups_before_dispatch() {
+    fn run_sim_with_computes_each_miss_once() {
         let _guard = fresh_cache();
         let arch = Architecture::smp(2);
-        let points = vec![
-            (arch.clone(), TaskKind::Select),
-            (arch.clone(), TaskKind::Aggregate),
-            (arch.clone(), TaskKind::Select), // duplicate of point 0
-        ];
-        let reports = run_tasks(&points);
-        assert_eq!(reports.len(), 3);
-        assert_eq!(reports[0], reports[2]);
+        let plan = plan_task(TaskKind::Aggregate, &arch);
+        let sim = Simulation::new(arch);
+        let mut calls = 0;
+        let computed = run_sim_with(&sim, &plan, || {
+            calls += 1;
+            sim.run_plan(&plan)
+        });
+        assert_eq!(calls, 1, "a miss computes once");
+        assert_eq!(stats().misses, 1);
+        // The entry sits under run_sim's key: a plain run is a hit...
+        assert_eq!(run_sim(&sim, &plan), computed);
+        // ...and a hit never calls `compute`.
+        let served = run_sim_with(&sim, &plan, || unreachable!("hit computed"));
+        assert_eq!(served, computed);
         let s = stats();
-        assert_eq!((s.hits, s.misses), (1, 2), "duplicate served from batch");
-        // A second batch is all hits and byte-identical.
-        let again = run_tasks(&points);
-        assert_eq!(again, reports);
-        assert_eq!(stats().hits, 4);
-        assert_eq!(stats().misses, 2);
+        assert_eq!((s.hits, s.misses), (2, 1));
+    }
+
+    /// A warm-start composite's inputs: a 2-disk cluster, a one-query
+    /// warmup and a two-query measured segment.
+    fn warm_inputs() -> (Simulation, WorkloadSpec, WorkloadSpec) {
+        let mix = vec![(TaskKind::Select, 1)];
+        (
+            Simulation::new(Architecture::cluster(2)),
+            WorkloadSpec::closed(1, 1).with_mix(mix.clone()),
+            WorkloadSpec::poisson(0.05, 2).with_mix(mix),
+        )
+    }
+
+    /// Simulates a warm-start composite from t=0, default policies.
+    fn warm_scratch(
+        sim: &Simulation,
+        warmup: &WorkloadSpec,
+        measured: &WorkloadSpec,
+    ) -> LoadReport {
+        let mut run = sim.start_workload(
+            warmup,
+            AdmissionPolicy::default(),
+            DeadlinePolicy::default(),
+        );
+        run.run_to_idle();
+        run.extend(measured);
+        run.finish()
+    }
+
+    #[test]
+    fn run_warm_with_computes_each_miss_once() {
+        let _guard = fresh_cache();
+        let (sim, warmup, measured) = warm_inputs();
+        let (adm, dl) = (AdmissionPolicy::default(), DeadlinePolicy::default());
+        let mut calls = 0;
+        let computed = run_warm_with(&sim, &warmup, &measured, adm, dl, || {
+            calls += 1;
+            warm_scratch(&sim, &warmup, &measured)
+        });
+        assert_eq!(calls, 1, "a miss computes once");
+        assert_eq!(stats().misses, 1);
+        let served = run_warm_with(&sim, &warmup, &measured, adm, dl, || {
+            unreachable!("hit computed")
+        });
+        assert_eq!(served, computed);
+        let s = stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
+    }
+
+    #[test]
+    fn with_entries_compute_every_time_when_off() {
+        let _guard = fresh_cache();
+        set_enabled(false);
+        let arch = Architecture::active_disks(2);
+        let plan = plan_task(TaskKind::Select, &arch);
+        let sim = Simulation::new(arch);
+        let mut calls = 0;
+        for _ in 0..2 {
+            run_sim_with(&sim, &plan, || {
+                calls += 1;
+                sim.run_plan(&plan)
+            });
+        }
+        let (sim, warmup, measured) = warm_inputs();
+        let (adm, dl) = (AdmissionPolicy::default(), DeadlinePolicy::default());
+        for _ in 0..2 {
+            run_warm_with(&sim, &warmup, &measured, adm, dl, || {
+                calls += 1;
+                warm_scratch(&sim, &warmup, &measured)
+            });
+        }
+        set_enabled(true);
+        assert_eq!(calls, 4, "every call computes when the cache is off");
+        assert_eq!(stats(), CacheStats::default(), "no stats move when off");
     }
 
     #[test]

@@ -36,18 +36,12 @@ use crate::exec::{ExecRun, Simulation};
 pub const SCHEMA: &str = "howsim-ckpt/v1";
 
 /// The configuration part of a checkpoint key: every input the paused
-/// state depends on except the pause boundary. The queue backend is
-/// deliberately absent (see the module docs); `degraded=[]` is a fixed
-/// field, as in [`crate::cache::key_material`].
+/// state depends on except the pause boundary. It is the result cache's
+/// key for the same run ([`crate::cache::key_material`]) behind a
+/// `ckpt | ` prefix, so the queue backend is deliberately absent (see
+/// the module docs).
 pub fn config_key(sim: &Simulation, plan: &TaskPlan) -> String {
-    format!(
-        "ckpt | arch={:?} | plan={:?} | degraded=[] | seed={} | faults={} | recovery={}",
-        sim.architecture(),
-        plan,
-        sim.seed(),
-        sim.fault_plan().summary(),
-        sim.recovery_policy().name(),
-    )
+    format!("ckpt | {}", crate::cache::sim_key(sim, plan))
 }
 
 /// The full checkpoint key: the configuration plus the pause boundary.

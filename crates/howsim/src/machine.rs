@@ -21,7 +21,7 @@
 use arch::{
     ActiveDiskConfig, Architecture, ClusterConfig, InterconnectKind, ProcessorSpec, SmpConfig,
 };
-use diskmodel::{Disk, Request};
+use diskmodel::{Disk, DiskSpec, Request};
 use diskos::Sandbox;
 use hostos::OsCosts;
 use netmodel::{
@@ -157,111 +157,90 @@ impl Machine {
     }
 
     fn active(c: &ActiveDiskConfig) -> Self {
-        let disks: Vec<Disk> = (0..c.disks)
-            .map(|_| Disk::new(c.disk_spec.clone()))
-            .collect();
-        let region_size = disks[0].capacity_bytes() / REGIONS;
-        let sandbox = Sandbox::for_disk_memory(c.disk_memory_bytes);
-        Machine {
-            nodes: c.disks,
-            cpus: vec![FifoServer::new(); c.disks],
-            fe_cpu: FifoServer::new(),
-            node_cpu: c.embedded_cpu,
-            fe_cpu_spec: c.front_end_cpu,
-            os: OsCosts::disk_os(),
-            fabric: Fabric::Active {
-                fc: match c.interconnect_kind {
-                    InterconnectKind::DualLoop => ActiveWire::Loop(FcLoop::dual(c.interconnect)),
-                    InterconnectKind::FibreSwitch => {
-                        ActiveWire::Switch(FcSwitchFabric::for_devices(c.disks, c.interconnect))
-                    }
-                },
-                fe_port: FifoServer::new(),
-                fe_port_rate: Bandwidth::from_bytes_per_sec(c.interconnect.bytes_per_sec() / 2.0),
-                direct: c.direct_disk_to_disk,
-                msg: MsgCosts::disk_stream(),
-            },
-            cursors: vec![[0; 2]; c.disks],
-            stripe_cursor: [0; 2],
-            window: sandbox.comm_buffers(),
-            region_size,
-            disks,
-            interconnect_bytes: 0,
-            frontend_bytes: 0,
-            failed: Vec::new(),
-            downtime: Vec::new(),
-            recovery_busy: Duration::ZERO,
-            work_redistributed: 0,
-            recovery_rr: 0,
-            failed_count: 0,
-            healthy: Vec::new(),
-            stripe_groups: Default::default(),
-        }
-        .init_fault_state()
+        let fc = match c.interconnect_kind {
+            InterconnectKind::DualLoop => ActiveWire::Loop(FcLoop::dual(c.interconnect)),
+            InterconnectKind::FibreSwitch => {
+                ActiveWire::Switch(FcSwitchFabric::for_devices(c.disks, c.interconnect))
+            }
+        };
+        let fabric = Fabric::Active {
+            fc,
+            fe_port: FifoServer::new(),
+            fe_port_rate: Bandwidth::from_bytes_per_sec(c.interconnect.bytes_per_sec() / 2.0),
+            direct: c.direct_disk_to_disk,
+            msg: MsgCosts::disk_stream(),
+        };
+        let window = Sandbox::for_disk_memory(c.disk_memory_bytes).comm_buffers();
+        Self::build(
+            c.disks,
+            &c.disk_spec,
+            (c.embedded_cpu, c.front_end_cpu),
+            OsCosts::disk_os(),
+            fabric,
+            window,
+        )
     }
 
     fn cluster(c: &ClusterConfig) -> Self {
-        let disks: Vec<Disk> = (0..c.nodes)
-            .map(|_| Disk::new(c.disk_spec.clone()))
-            .collect();
-        let region_size = disks[0].capacity_bytes() / REGIONS;
-        Machine {
-            nodes: c.nodes,
-            cpus: vec![FifoServer::new(); c.nodes],
-            fe_cpu: FifoServer::new(),
-            node_cpu: c.node_cpu,
-            fe_cpu_spec: c.node_cpu,
-            os: OsCosts::full_function(),
-            fabric: Fabric::Cluster {
-                net: ClusterFabric::new(c.nodes),
-                msg: MsgCosts::user_space_ethernet(),
-            },
-            cursors: vec![[0; 2]; c.nodes],
-            stripe_cursor: [0; 2],
-            window: 2 * hostos::ASYNC_IO_DEPTH,
-            region_size,
-            disks,
-            interconnect_bytes: 0,
-            frontend_bytes: 0,
-            failed: Vec::new(),
-            downtime: Vec::new(),
-            recovery_busy: Duration::ZERO,
-            work_redistributed: 0,
-            recovery_rr: 0,
-            failed_count: 0,
-            healthy: Vec::new(),
-            stripe_groups: Default::default(),
-        }
-        .init_fault_state()
+        let fabric = Fabric::Cluster {
+            net: ClusterFabric::new(c.nodes),
+            msg: MsgCosts::user_space_ethernet(),
+        };
+        Self::build(
+            c.nodes,
+            &c.disk_spec,
+            (c.node_cpu, c.node_cpu),
+            OsCosts::full_function(),
+            fabric,
+            2 * hostos::ASYNC_IO_DEPTH,
+        )
     }
 
     fn smp(c: &SmpConfig) -> Self {
-        let disks: Vec<Disk> = (0..c.processors)
-            .map(|_| Disk::new(c.disk_spec.clone()))
-            .collect();
+        let fabric = Fabric::Smp {
+            mem: SmpFabric::new(c.processors.div_ceil(2)),
+            io: SmpIoSubsystem::new(c.io_interconnect),
+            msg: MsgCosts::smp_block_transfer(),
+        };
+        Self::build(
+            c.processors,
+            &c.disk_spec,
+            (c.cpu, c.cpu),
+            OsCosts::full_function(),
+            fabric,
+            2 * hostos::ASYNC_IO_DEPTH,
+        )
+    }
+
+    /// A healthy, idle machine of `nodes` nodes, one `disk_spec` drive
+    /// and one `node_cpu` worker CPU each, plus a `fe_cpu` front-end.
+    fn build(
+        nodes: usize,
+        disk_spec: &DiskSpec,
+        (node_cpu, fe_cpu): (ProcessorSpec, ProcessorSpec),
+        os: OsCosts,
+        fabric: Fabric,
+        window: usize,
+    ) -> Self {
+        let disks: Vec<Disk> = (0..nodes).map(|_| Disk::new(disk_spec.clone())).collect();
         let region_size = disks[0].capacity_bytes() / REGIONS;
-        let boards = c.processors.div_ceil(2);
         Machine {
-            nodes: c.processors,
-            cpus: vec![FifoServer::new(); c.processors],
-            fe_cpu: FifoServer::new(),
-            node_cpu: c.cpu,
-            fe_cpu_spec: c.cpu,
-            os: OsCosts::full_function(),
-            fabric: Fabric::Smp {
-                mem: SmpFabric::new(boards),
-                io: SmpIoSubsystem::new(c.io_interconnect),
-                msg: MsgCosts::smp_block_transfer(),
-            },
-            cursors: vec![[0; 2]; c.processors],
-            stripe_cursor: [0; 2],
-            window: 2 * hostos::ASYNC_IO_DEPTH,
-            region_size,
+            nodes,
             disks,
+            cpus: vec![FifoServer::new(); nodes],
+            fe_cpu: FifoServer::new(),
+            node_cpu,
+            fe_cpu_spec: fe_cpu,
+            os,
+            fabric,
+            cursors: vec![[0; 2]; nodes],
+            stripe_cursor: [0; 2],
+            window,
+            region_size,
             interconnect_bytes: 0,
             frontend_bytes: 0,
-            failed: Vec::new(),
-            downtime: Vec::new(),
+            failed: vec![false; nodes],
+            downtime: vec![DowntimeTracker::new(); nodes],
             recovery_busy: Duration::ZERO,
             work_redistributed: 0,
             recovery_rr: 0,
@@ -269,13 +248,6 @@ impl Machine {
             healthy: Vec::new(),
             stripe_groups: Default::default(),
         }
-        .init_fault_state()
-    }
-
-    fn init_fault_state(mut self) -> Self {
-        self.failed = vec![false; self.nodes];
-        self.downtime = vec![DowntimeTracker::new(); self.nodes];
-        self
     }
 
     /// Recomputes the failed count and the survivor lists from the

@@ -115,30 +115,6 @@ impl Report {
     pub fn frontend_bytes(&self) -> u64 {
         self.phases.iter().map(|p| p.frontend_bytes).sum()
     }
-
-    /// Serializes the per-phase measurements as CSV
-    /// (`task,arch,disks,phase,elapsed_s,cpu_busy_s,disk_busy_s,idle_frac,net_bytes,fe_bytes`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "task,arch,disks,phase,elapsed_s,cpu_busy_s,disk_busy_s,idle_frac,net_bytes,fe_bytes\n",
-        );
-        for p in &self.phases {
-            out.push_str(&format!(
-                "{},{},{},{},{:.6},{:.6},{:.6},{:.4},{},{}\n",
-                self.task,
-                self.architecture,
-                self.disks,
-                p.name,
-                p.elapsed.as_secs_f64(),
-                p.cpu_busy_total.as_secs_f64(),
-                p.disk_busy_total.as_secs_f64(),
-                p.idle_fraction(),
-                p.interconnect_bytes,
-                p.frontend_bytes
-            ));
-        }
-        out
-    }
 }
 
 impl fmt::Display for Report {
@@ -316,15 +292,5 @@ mod tests {
         assert!(r.phase("p1").is_some());
         assert!(r.phase("nope").is_none());
         assert!(format!("{r}").contains("sort on Active"));
-    }
-
-    #[test]
-    fn csv_has_header_and_one_row_per_phase() {
-        let r = sample_report();
-        let csv = r.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("task,arch,disks,phase"));
-        assert!(lines[1].starts_with("sort,Active,2,p1,"));
     }
 }

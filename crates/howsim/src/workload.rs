@@ -58,16 +58,13 @@ pub struct WorkloadSpec {
 
 /// Parses a task name as used in mix specs (`select`, `join`, ...).
 fn parse_task(name: &str) -> Result<TaskKind, String> {
-    TaskKind::ALL
-        .into_iter()
-        .find(|t| t.name() == name)
-        .ok_or_else(|| {
-            let names: Vec<&str> = TaskKind::ALL.iter().map(|t| t.name()).collect();
-            format!(
-                "unknown task '{name}' (expected one of {})",
-                names.join(", ")
-            )
-        })
+    TaskKind::parse(name).ok_or_else(|| {
+        let names: Vec<&str> = TaskKind::ALL.iter().map(|t| t.name()).collect();
+        format!(
+            "unknown task '{name}' (expected one of {})",
+            names.join(", ")
+        )
+    })
 }
 
 /// Parses a duration literal: `<n>ns`, `<n>us`, `<n>ms`, or `<x>s`. A

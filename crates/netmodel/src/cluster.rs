@@ -152,11 +152,6 @@ impl ClusterFabric {
         self.nic_rx[host].bytes_carried()
     }
 
-    /// Total bytes sent by `host`.
-    pub fn bytes_sent_by(&self, host: usize) -> u64 {
-        self.nic_tx[host].bytes_carried()
-    }
-
     /// Cumulative serialization time across all *worker* NICs (tx + rx
     /// lanes; the front-end's NIC is excluded — it is reported separately
     /// as the front-end link).

@@ -192,15 +192,6 @@ impl FcLoop {
         self.cached = None;
         Ok(())
     }
-
-    /// Aggregate utilization over `elapsed`.
-    pub fn utilization(&self, elapsed: Duration) -> f64 {
-        if elapsed.is_zero() {
-            return 0.0;
-        }
-        let busy = self.busy_total();
-        (busy.as_secs_f64() / (elapsed.as_secs_f64() * self.loops.len() as f64)).min(1.0)
-    }
 }
 
 #[cfg(test)]

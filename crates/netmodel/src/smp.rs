@@ -193,11 +193,6 @@ impl SmpIoSubsystem {
         self.fc.bytes_carried()
     }
 
-    /// The loop's aggregate utilization over `elapsed`.
-    pub fn loop_utilization(&self, elapsed: Duration) -> f64 {
-        self.fc.utilization(elapsed)
-    }
-
     /// Cumulative loop tenancy time summed across the FC loops.
     pub fn loop_busy_total(&self) -> Duration {
         self.fc.busy_total()

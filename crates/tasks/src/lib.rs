@@ -88,6 +88,11 @@ impl TaskKind {
         }
     }
 
+    /// Inverse of [`TaskKind::name`].
+    pub fn parse(name: &str) -> Option<TaskKind> {
+        TaskKind::ALL.into_iter().find(|t| t.name() == name)
+    }
+
     /// The Table 2 dataset for this task.
     pub fn dataset(self) -> DatasetSpec {
         match self {
@@ -132,6 +137,15 @@ mod tests {
                 "mview"
             ]
         );
+    }
+
+    #[test]
+    fn parse_inverts_name() {
+        for t in TaskKind::ALL {
+            assert_eq!(TaskKind::parse(t.name()), Some(t));
+        }
+        assert_eq!(TaskKind::parse("Select"), None);
+        assert_eq!(TaskKind::parse(""), None);
     }
 
     #[test]

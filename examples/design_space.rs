@@ -18,10 +18,6 @@
 use activedisks::arch::Architecture;
 use activedisks::tasks::TaskKind;
 
-fn parse_task(name: &str) -> Option<TaskKind> {
-    TaskKind::ALL.into_iter().find(|t| t.name() == name)
-}
-
 // Routed through the result cache: the panels share their baselines
 // (e.g. the stock configuration appears in panels 1 and 3), so each
 // distinct configuration simulates once.
@@ -34,7 +30,7 @@ fn seconds(arch: Architecture, task: TaskKind) -> f64 {
 fn main() {
     let task = std::env::args()
         .nth(1)
-        .and_then(|a| parse_task(&a))
+        .and_then(|a| TaskKind::parse(&a))
         .unwrap_or(TaskKind::Sort);
     let sizes = [16usize, 32, 64, 128];
 
